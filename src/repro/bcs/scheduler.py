@@ -23,6 +23,30 @@ from .config import BcsConfig
 from .descriptors import Match
 
 
+class Grants(list):
+    """One slice's granted matches, in grant order.
+
+    ``by_dst`` buckets the same matches by destination node (grant order
+    within each bucket), built once while granting so neither the Strobe
+    Sender nor each node's DMA Helper has to filter the whole list.
+    """
+
+    __slots__ = ("by_dst",)
+
+    def __init__(self):
+        super().__init__()
+        self.by_dst: Dict[int, List[Match]] = {}
+
+    def add(self, match: Match) -> None:
+        """Append ``match`` and file it under its destination node."""
+        self.append(match)
+        bucket = self.by_dst.get(match.dst_node)
+        if bucket is None:
+            self.by_dst[match.dst_node] = [match]
+        else:
+            bucket.append(match)
+
+
 class SliceScheduler:
     """Allocates per-slice transfer budgets to matches."""
 
@@ -39,7 +63,7 @@ class SliceScheduler:
         """Queue freshly built matches behind the in-flight ones."""
         self.in_flight.extend(matches)
 
-    def schedule_slice(self) -> List[Match]:
+    def schedule_slice(self) -> Grants:
         """Grant this slice's chunks; returns matches with work to do.
 
         Resets every match's ``scheduled_now`` and assigns grants subject
@@ -47,7 +71,7 @@ class SliceScheduler:
         """
         tx_left: Dict[int, int] = defaultdict(lambda: self.budget_bytes)
         rx_left: Dict[int, int] = defaultdict(lambda: self.budget_bytes)
-        granted: List[Match] = []
+        granted = Grants()
 
         # User traffic first, then system-class traffic (PFS etc.) into
         # the leftover budget: the QoS split of paper §1.
@@ -59,7 +83,7 @@ class SliceScheduler:
             if match.total_bytes == 0:
                 # Zero-byte messages (e.g. pure synchronization sends)
                 # still need a delivery pass but consume no budget.
-                granted.append(match)
+                granted.add(match)
                 continue
             grant = min(
                 match.remaining,
@@ -71,7 +95,7 @@ class SliceScheduler:
             match.scheduled_now = grant
             tx_left[match.src_node] -= grant
             rx_left[match.dst_node] -= grant
-            granted.append(match)
+            granted.add(match)
         if self.obs is not None:
             self.obs.sched_slice(self, granted)
         return granted

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List
 
 from ..sim import Latch, ReusableLatch, ReusableTimeout, Store
+from .threads import Transmission, solve_transmission
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import BcsRuntime
@@ -110,6 +111,11 @@ class StrobeSender:
         self._strobe = Strobe("", 0, None, self._latch)
         self._pad = ReusableTimeout(self.env)
         self._sleep = ReusableTimeout(self.env)
+        # Batched transmission phase (part of ``config.batched_matching``):
+        # a P2P microphase whose window is closed is solved in one pass
+        # and replayed with one reusable timeout per delivery instant.
+        self._batched = runtime.config.batched_matching
+        self._deliver_at = ReusableTimeout(self.env)
         # Aggregated strobe model (``config.aggregated_strobe``): the
         # microstrobe is one tree-shaped multicast event whose duration
         # is cached per active-set size, charged through a reusable
@@ -184,7 +190,7 @@ class StrobeSender:
                 yield from self._microphase(MSM, runtime.msm_nodes(), mins[MSM])
                 granted = runtime.global_schedule()
                 yield from self._microphase(
-                    P2P, sorted({m.dst_node for m in granted}), 0, payload=granted
+                    P2P, sorted(granted.by_dst), 0, payload=granted
                 )
                 retired = runtime.scheduler.retire_finished()
                 if retired and cfg.batched_matching:
@@ -284,25 +290,16 @@ class StrobeSender:
             )
 
         if nodes:
-            # One latch shared by all participants: the SS resumes when
-            # the count reaches zero, without an N-event AllOf fan-in.
-            # With tracing off, the latch, strobe record and pad timeout
-            # are re-armed in place — every receiver drops its reference
-            # at count_down time, and the SS yields each to completion
-            # before the next microphase, so nothing can observe the
-            # reuse (the name f-string only ever served trace debugging).
-            if self._trace_on:
-                done = Latch(env, len(nodes), name=f"{phase}:{runtime.slice_no}")
-                strobe = Strobe(phase, runtime.slice_no, payload, done)
+            plan = None
+            if phase == P2P and self._batched:
+                plan = solve_transmission(runtime, payload)
+                runtime.stats[
+                    "p2p_phases_fallback" if plan is None else "p2p_phases_solved"
+                ] += 1
+            if plan is not None:
+                yield from self._transmit(plan, nodes)
             else:
-                done = self._latch.rearm(len(nodes))
-                strobe = self._strobe
-                strobe.phase = phase
-                strobe.slice_no = runtime.slice_no
-                strobe.payload = payload
-            for node_id in nodes:
-                runtime.receivers[node_id].inbox.put(strobe)
-            yield done
+                yield from self._dispatch(phase, nodes, payload)
             if self._aggregated:
                 # Batched completion report: every participant finished
                 # exactly one microphase, so one arena-wide increment
@@ -333,3 +330,55 @@ class StrobeSender:
                 duration=env.now - t0,
                 nodes=len(nodes),
             )
+
+    def _dispatch(self, phase: str, nodes: List[int], payload):
+        """Strobe every participant's SR and wait until all report in."""
+        runtime = self.runtime
+        # One latch shared by all participants: the SS resumes when the
+        # count reaches zero, without an N-event AllOf fan-in.  With
+        # tracing off, the latch and strobe record are re-armed in
+        # place — every receiver drops its reference at count_down
+        # time, and the SS yields the latch to completion before the
+        # next microphase, so nothing can observe the reuse (the name
+        # f-string only ever served trace debugging).
+        if self._trace_on:
+            done = Latch(self.env, len(nodes), name=f"{phase}:{runtime.slice_no}")
+            strobe = Strobe(phase, runtime.slice_no, payload, done)
+        else:
+            done = self._latch.rearm(len(nodes))
+            strobe = self._strobe
+            strobe.phase = phase
+            strobe.slice_no = runtime.slice_no
+            strobe.payload = payload
+        for node_id in nodes:
+            runtime.receivers[node_id].inbox.put(strobe)
+        yield done
+
+    def _transmit(self, plan: Transmission, nodes: List[int]):
+        """Replay a solved P2P microphase in place of the DMA Helpers.
+
+        Deliveries happen at their solved instants, in the order the
+        per-chunk processes would make them, so request completion times
+        and wake-ups are unchanged; at the last chunk's instant every
+        participant reports the microphase done, as its SR would.
+        Chunks that deliver nothing are booked when the window opens
+        (nothing outside the window can observe the difference).
+        """
+        runtime = self.runtime
+        env = self.env
+        agents = runtime.agents
+        for match in plan.rest:
+            agents[match.dst_node].dh.land(match)
+        for instant, matches in plan.steps:
+            yield self._deliver_at.rearm(instant - env.now)
+            for match in matches:
+                agents[match.dst_node].dh.land(match)
+        if env.now < plan.end:
+            yield self._deliver_at.rearm(plan.end - env.now)
+        receivers = runtime.receivers
+        gas = runtime.core.gas
+        for node_id in nodes:
+            sr = receivers[node_id]
+            sr.completed_phases += 1
+            if not self._aggregated:
+                gas.write(node_id, "mphase_done", sr.completed_phases)

@@ -38,6 +38,7 @@ from .descriptors import (
     payload_nbytes,
 )
 from .matching import make_matcher
+from .scheduler import Grants
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import BcsRuntime
@@ -461,15 +462,19 @@ class BufferReceiver:
 
 
 class DmaHelper:
-    """DH: executes the point-to-point gets scheduled for this slice."""
+    """DH: executes the point-to-point gets scheduled for this slice.
+
+    One process per granted chunk: the reference engine's path, and the
+    batched engine's fallback when :func:`solve_transmission` declines.
+    """
 
     def __init__(self, nrt: NodeRuntime):
         self.nrt = nrt
 
-    def p2p_phase(self, granted: List[Match]):
+    def p2p_phase(self, granted: Grants):
         """Move every chunk whose destination is this node (in parallel)."""
         nrt = self.nrt
-        mine = [m for m in granted if m.dst_node == nrt.node_id]
+        mine = granted.by_dst.get(nrt.node_id)
         if not mine:
             return
         procs = [
@@ -480,21 +485,26 @@ class DmaHelper:
 
     def _move_chunk(self, match: Match):
         nrt = self.nrt
-        runtime = nrt.runtime
         chunk = match.scheduled_now
         t0 = nrt.env.now
         yield from nrt.nic.compute(nrt.config.nic_descriptor_cost)
         # One-sided get: data flows src -> dst with no host involvement.
-        yield from runtime.cluster.fabric.unicast(
+        yield from nrt.runtime.cluster.fabric.unicast(
             match.src_node, match.dst_node, chunk, label="p2p"
         )
+        self.land(match, t0)
+
+    def land(self, match: Match, t0: int = 0) -> None:
+        """Account one moved chunk (started at ``t0``); deliver if it was the last."""
+        runtime = self.nrt.runtime
+        chunk = match.scheduled_now
         match.bytes_done += chunk
         match.scheduled_now = 0
         runtime.stats["bytes_transferred"] += chunk
         runtime.stats["chunks_moved"] += 1
         obs = runtime.obs
         if obs is not None and obs.spans is not None:
-            obs.spans.msg_chunk(match, t0, nrt.env.now, chunk)
+            obs.spans.msg_chunk(match, t0, self.nrt.env.now, chunk)
         if match.finished:
             self._deliver(match)
 
@@ -512,6 +522,87 @@ class DmaHelper:
         obs = runtime.obs
         if obs is not None and obs.spans is not None:
             obs.spans.msg_delivered(match)
+
+
+class Transmission:
+    """A P2P microphase solved ahead of time (the batched engine's kernel).
+
+    ``steps`` lists ``(instant, matches)`` for every distinct instant at
+    which a chunk completes its message, in the order the per-chunk
+    processes would deliver them; ``rest`` holds the chunks that move
+    part of a message and deliver nothing; ``end`` is the instant the
+    last chunk lands — when the slowest DMA Helper would report in.
+    """
+
+    __slots__ = ("steps", "rest", "end")
+
+    def __init__(self, steps: list, rest: list, end: int):
+        self.steps = steps
+        self.rest = rest
+        self.end = end
+
+
+def solve_transmission(runtime: "BcsRuntime", granted: Grants) -> Optional[Transmission]:
+    """Solve a P2P microphase in one pass, or None if it must run as processes.
+
+    Every granted chunk is normally its own DMA Helper process (NIC hold,
+    then :meth:`Fabric.unicast`).  When the microphase's window is closed
+    — nothing outside it can act before its last chunk lands — the same
+    instants follow from :meth:`Fabric.solve_unicasts` and the Strobe
+    Sender only has to replay the deliveries.  The window is closed when:
+
+    1. no telemetry is attached and unicasts are not traced (their
+       records and spans come from the per-chunk path);
+    2. every thread processor and link half involved is idle with an
+       empty wait queue (checked by the fabric solve);
+    3. the next queued event comes strictly after the last chunk lands;
+    4. no grant is system-class (a PFS drain may wait on its request;
+       user requests are only awaited through ``NodeManager.block_on``,
+       which parks the rank until the next slice boundary).
+
+    On success the fabric's transfer counters are committed; the caller
+    must then replay ``steps``/``rest`` through :meth:`DmaHelper.land`.
+    """
+    hold = runtime.config.nic_descriptor_cost
+    if runtime.obs is not None or hold < 0:
+        return None
+    by_dst = granted.by_dst
+    fabric = runtime.cluster.fabric
+    nics = fabric.nics
+    queues = []
+    flat = []
+    for dst in sorted(by_dst):
+        mine = by_dst[dst]
+        transfers = []
+        for m in mine:
+            if m.system:
+                return None
+            transfers.append((m.src_node, dst, m.scheduled_now))
+        queues.append((nics[dst].thread_processor, transfers))
+        flat.extend(mine)
+    solved = fabric.solve_unicasts(queues, hold)
+    if solved is None:
+        return None
+    done, order, end = solved
+    t_next = runtime.env.peek()
+    if t_next is not None and t_next <= end:
+        return None
+
+    fabric.transfers += len(flat)
+    fabric.bytes_moved += sum(m.scheduled_now for m in flat)
+    steps = []
+    rest = []
+    last = None
+    for k in order:
+        m = flat[k]
+        if m.bytes_done + m.scheduled_now < m.total_bytes:
+            rest.append(m)
+        elif done[k] == last:
+            steps[-1][1].append(m)
+        else:
+            last = done[k]
+            steps.append((last, [m]))
+    return Transmission(steps, rest, end)
 
 
 class CollectiveHelper:

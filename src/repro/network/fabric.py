@@ -19,6 +19,8 @@ routing collisions that QsNet's dispersive routing is built to avoid.
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from typing import Generator, Iterable, Sequence
 
 from ..sim import Engine, Trace
@@ -111,6 +113,168 @@ class Fabric:
                 start=start,
                 label=label,
             )
+
+    def solve_unicasts(self, queues: Sequence[tuple], hold: int):
+        """Exact timing of a batch of :meth:`unicast` calls, without running them.
+
+        ``queues`` pairs a FIFO issuer (a NIC thread processor
+        :class:`~repro.sim.Resource`) with the ``(src, dst, size)``
+        transfers it issues, in order.  The batch stands for this event
+        sequence: at ``env.now`` one process per transfer starts, queue
+        by queue in list order; each holds its queue's issuer for
+        ``hold`` ns (when ``hold > 0``) and then runs :meth:`unicast`.
+        A private loop over ``(time, seq)`` replays those processes'
+        scheduling steps in the engine's order — FIFO issuer grants, the
+        loopback and ``try_acquire`` fast paths, the ordered tx-then-rx
+        fallback, releases granting the next waiter — so every transfer
+        finishes at the instant the engine would finish it.
+
+        Pure: reads link state, changes nothing (the caller commits the
+        ``transfers``/``bytes_moved`` counts if it uses the result).
+        Returns ``(done, order, end)``: each transfer's completion
+        instant (flat, queue by queue), the transfer indices in the
+        order the engine would complete them, and the last instant.
+        Returns None when the batch cannot be solved in isolation: an
+        issuer or link half it uses is busy or has waiters now, unicast
+        tracing is on, or a transfer's last step has zero delay (it would
+        interleave with events created at that same instant).
+        """
+        if self.trace is not None and self.trace.enabled_for("fabric.unicast"):
+            return None
+        model = self.model
+        nics = self.nics
+        hops = self.tree.hops
+        startup = model.dma_startup
+        header = model.header_bytes
+        bandwidth = model.link_bandwidth
+        now = self.env.now
+
+        issuer = []  # per transfer: its queue's index
+        src_of = []
+        dst_of = []
+        span = []  # loopback: DMA time; remote: link hold (startup + wire)
+        tail = []  # remote: wire latency after the link hold
+        tx_nodes = set()
+        rx_nodes = set()
+        for q, (res, transfers) in enumerate(queues):
+            if res.in_use or res.queue_length:
+                return None
+            for src, dst, size in transfers:
+                issuer.append(q)
+                src_of.append(src)
+                dst_of.append(dst)
+                if src == dst:
+                    span.append(startup + bw_time(size, bandwidth))
+                    tail.append(0)
+                    if span[-1] == 0:
+                        return None
+                    continue
+                latency = model.latency(hops(src, dst))
+                if latency == 0:
+                    return None
+                span.append(startup + bw_time(size + header, bandwidth))
+                tail.append(latency)
+                tx_nodes.add(src)
+                rx_nodes.add(dst)
+        links = [nics[n].tx for n in tx_nodes] + [nics[n].rx for n in rx_nodes]
+        if any(link.in_use or link.queue_length for link in links):
+            return None
+
+        n = len(issuer)
+        state = [0] * n
+        done = [0] * n
+        order = []
+        # Resource -> FIFO of waiters; a key is present while it is held.
+        issuer_wait: dict = {}
+        tx_wait: dict = {}
+        rx_wait: dict = {}
+        # Heap keys are ``time * big + seq``; ``who[seq]`` is the transfer.
+        # A transfer schedules at most six events, so seq stays below big.
+        big = 8 * n + 8
+        heap: list = []
+        who: list = []
+        pop, push = heapq.heappop, heapq.heappush
+
+        def start_link(t, k):  # unicast() entered at ``t``
+            src, dst = src_of[k], dst_of[k]
+            if src == dst:
+                push(heap, (t + span[k]) * big + len(who))
+                who.append(k)
+                state[k] = 6
+            elif src not in tx_wait:
+                tx_wait[src] = deque()
+                if dst not in rx_wait:  # both halves free: claim both now
+                    rx_wait[dst] = deque()
+                    push(heap, (t + span[k]) * big + len(who))
+                    state[k] = 5
+                else:  # rx busy: give tx back, re-request it (granted now)
+                    push(heap, t * big + len(who))
+                    state[k] = 3
+                who.append(k)
+            else:
+                tx_wait[src].append(k)
+                state[k] = 3
+
+        # Every process starts at ``now``, ahead of anything it schedules.
+        for k in range(n):
+            if hold <= 0:
+                start_link(now, k)
+                continue
+            q = issuer[k]
+            waiters = issuer_wait.get(q)
+            if waiters is None:
+                issuer_wait[q] = deque()
+                push(heap, now * big + len(who))
+                who.append(k)
+            else:
+                waiters.append(k)
+            state[k] = 1
+        while heap:
+            t, seq = divmod(pop(heap), big)
+            k = who[seq]
+            st = state[k]
+            if st == 1:  # issuer granted: hold it
+                push(heap, (t + hold) * big + len(who))
+                who.append(k)
+                state[k] = 2
+            elif st == 2:  # issuer hold over: pass it on, enter unicast()
+                q = issuer[k]
+                waiters = issuer_wait[q]
+                if waiters:
+                    push(heap, t * big + len(who))
+                    who.append(waiters.popleft())
+                else:
+                    del issuer_wait[q]
+                start_link(t, k)
+            elif st == 5:  # link hold over: release tx, then rx; fly
+                for held, node in ((tx_wait, src_of[k]), (rx_wait, dst_of[k])):
+                    waiters = held[node]
+                    if waiters:
+                        push(heap, t * big + len(who))
+                        who.append(waiters.popleft())
+                    else:
+                        del held[node]
+                push(heap, (t + tail[k]) * big + len(who))
+                who.append(k)
+                state[k] = 6
+            elif st == 6:  # arrived
+                done[k] = t
+                order.append(k)
+            elif st == 3:  # tx granted: request rx
+                dst = dst_of[k]
+                waiters = rx_wait.get(dst)
+                if waiters is None:
+                    rx_wait[dst] = deque()
+                    push(heap, t * big + len(who))
+                    who.append(k)
+                else:
+                    waiters.append(k)
+                state[k] = 4
+            else:  # st == 4: rx granted: hold both halves
+                push(heap, (t + span[k]) * big + len(who))
+                who.append(k)
+                state[k] = 5
+        return done, order, max(done, default=now)
 
     # -- multicast -----------------------------------------------------------------
 
