@@ -22,6 +22,7 @@ from ..bcs.descriptors import (
     RecvDescriptor,
     payload_nbytes,
 )
+from ..bcs.threads import ScheduleWindowError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..bcs.runtime import BcsRuntime, CommInfo, RankHandle
@@ -186,6 +187,7 @@ class BcsApi:
         if req.complete:
             return False
         nrt = handle.nrt
+        self._observe_br(nrt.node_id, "cancel_recv")
         for queue in (nrt.posted_recvs, nrt.matcher.posted):
             for desc in queue:
                 if desc.request is req:
@@ -229,6 +231,7 @@ class BcsApi:
         Looks at the unexpected queue the BR maintains — a message whose
         descriptor has arrived but has no posted receive yet.
         """
+        self._observe_br(handle.node_id, "probe")
         probe_recv = RecvDescriptor(
             job_id=info.job.id,
             comm_id=info.comm_id,
@@ -284,6 +287,23 @@ class BcsApi:
         return result
 
     # -- internals ------------------------------------------------------------------------------
+
+    def _observe_br(self, node_id: int, call: str) -> None:
+        """Note a rank read of Buffer Receiver state (probe/cancel).
+
+        The batched scheduling phase stops solving DEM/MSM windows from
+        here on.  A solved window already replaying stays exact — each
+        Buffer Receiver step runs at its own instant — unless this read
+        lands on the same nanosecond as a step of its own node, where
+        the order of the two is not pinned down: that is an error.
+        """
+        runtime = self.runtime
+        runtime.br_observed = True
+        window = runtime.br_window
+        if window is not None:
+            now = self.env.now
+            if now in window.get(node_id, ()):
+                raise ScheduleWindowError(node_id, now, call)
 
     def _maybe_release(self, req: BcsRequest) -> None:
         """Recycle a request that never escaped to the caller.

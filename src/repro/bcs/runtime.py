@@ -402,8 +402,16 @@ class BcsRuntime:
         #: goes stale.
         self._comm_cache: Dict[int, Dict[int, CommInfo]] = {}
         #: Live rank processes: (job_id, rank) -> sim Process (for
-        #: failure injection / fault tolerance).
+        #: failure injection / fault tolerance, and the batched
+        #: scheduling phase's host-only window guard).
         self.rank_procs: Dict[tuple, object] = {}
+        #: Set for good by the first rank read of Buffer Receiver state
+        #: (``BcsApi.probe``/``cancel_recv``); the batched scheduling
+        #: phase only solves windows while it is unset.
+        self.br_observed = False
+        #: Buffer Receiver step instants (node -> set) of the last solved
+        #: DEM/MSM microphase (see ``BcsApi._observe_br``).
+        self.br_window: Optional[Dict[int, set]] = None
         self.slice_no = 0
         self.stopped = False
         self.stats: Counter = Counter()

@@ -15,11 +15,12 @@ Slice structure (Figure 5):
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List
 
 from ..sim import Latch, ReusableLatch, ReusableTimeout, Store
-from .threads import Transmission, solve_transmission
+from .threads import PhasePlan, solve_exchange, solve_scheduling, solve_transmission
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import BcsRuntime
@@ -28,6 +29,14 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Microphase names, in slice order.
 DEM, MSM, P2P, BBM, RM = "DEM", "MSM", "P2P", "BBM", "RM"
 MICROPHASES = (DEM, MSM, P2P, BBM, RM)
+
+#: Microphases the batched engine solves in one pass, with their
+#: ``(solved, fallback)`` counters in ``runtime.stats``.
+_KERNEL_STATS = {
+    DEM: ("dem_phases_solved", "dem_phases_fallback"),
+    MSM: ("msm_phases_solved", "msm_phases_fallback"),
+    P2P: ("p2p_phases_solved", "p2p_phases_fallback"),
+}
 
 
 @dataclass(slots=True)
@@ -111,11 +120,12 @@ class StrobeSender:
         self._strobe = Strobe("", 0, None, self._latch)
         self._pad = ReusableTimeout(self.env)
         self._sleep = ReusableTimeout(self.env)
-        # Batched transmission phase (part of ``config.batched_matching``):
-        # a P2P microphase whose window is closed is solved in one pass
-        # and replayed with one reusable timeout per delivery instant.
+        # Batched scheduling and transmission phases (part of
+        # ``config.batched_matching``): a DEM, MSM or P2P microphase whose
+        # guards hold is solved in one pass and replayed with one
+        # reusable timeout per distinct instant.
         self._batched = runtime.config.batched_matching
-        self._deliver_at = ReusableTimeout(self.env)
+        self._step_at = ReusableTimeout(self.env)
         # Aggregated strobe model (``config.aggregated_strobe``): the
         # microstrobe is one tree-shaped multicast event whose duration
         # is cached per active-set size, charged through a reusable
@@ -291,13 +301,17 @@ class StrobeSender:
 
         if nodes:
             plan = None
-            if phase == P2P and self._batched:
-                plan = solve_transmission(runtime, payload)
-                runtime.stats[
-                    "p2p_phases_fallback" if plan is None else "p2p_phases_solved"
-                ] += 1
+            counters = _KERNEL_STATS.get(phase) if self._batched else None
+            if counters is not None:
+                if phase == P2P:
+                    plan = solve_transmission(runtime, payload)
+                elif phase == DEM:
+                    plan = solve_exchange(runtime, nodes)
+                else:
+                    plan = solve_scheduling(runtime, nodes)
+                runtime.stats[counters[plan is None]] += 1
             if plan is not None:
-                yield from self._transmit(plan, nodes)
+                yield from self._replay(plan, nodes)
             else:
                 yield from self._dispatch(phase, nodes, payload)
             if self._aggregated:
@@ -354,27 +368,32 @@ class StrobeSender:
             runtime.receivers[node_id].inbox.put(strobe)
         yield done
 
-    def _transmit(self, plan: Transmission, nodes: List[int]):
-        """Replay a solved P2P microphase in place of the DMA Helpers.
+    def _replay(self, plan: PhasePlan, nodes: List[int]):
+        """Replay a solved microphase in place of the per-node threads.
 
-        Deliveries happen at their solved instants, in the order the
-        per-chunk processes would make them, so request completion times
-        and wake-ups are unchanged; at the last chunk's instant every
-        participant reports the microphase done, as its SR would.
-        Chunks that deliver nothing are booked when the window opens
-        (nothing outside the window can observe the difference).
+        Each step runs at its solved instant, in the order the per-node
+        processes would take it, so deliveries, matcher batches, request
+        completion times and wake-ups are unchanged; steps a step
+        discovers (a Buffer Receiver's next hold) join the same heap.
+        When the last step is done — and not before ``plan.end`` —
+        every participant reports the microphase done, as its SR would.
+        A DEM/MSM plan leaves its Buffer Receiver instants in
+        ``runtime.br_window`` for the rank-side probe/cancel check.
         """
         runtime = self.runtime
         env = self.env
-        agents = runtime.agents
-        for match in plan.rest:
-            agents[match.dst_node].dh.land(match)
-        for instant, matches in plan.steps:
-            yield self._deliver_at.rearm(instant - env.now)
-            for match in matches:
-                agents[match.dst_node].dh.land(match)
+        heap = plan.heap
+        pop = heapq.heappop
+        if plan.br is not None:
+            runtime.br_window = plan.br
+        while heap:
+            instant = heap[0][0]
+            if instant > env.now:
+                yield self._step_at.rearm(instant - env.now)
+            _, _, step, arg = pop(heap)
+            step(arg)
         if env.now < plan.end:
-            yield self._deliver_at.rearm(plan.end - env.now)
+            yield self._step_at.rearm(plan.end - env.now)
         receivers = runtime.receivers
         gas = runtime.core.gas
         for node_id in nodes:

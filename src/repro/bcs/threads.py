@@ -24,11 +24,12 @@ in :mod:`repro.bcs.strobe`; this module holds the thread bodies and the
 from __future__ import annotations
 
 import copy
+import heapq
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from ..sim import Signal
+from ..sim import AllOf, Event, Signal
 from .config import BcsConfig
 from .descriptors import (
     CollectiveDescriptor,
@@ -53,6 +54,28 @@ def _copy_payload(payload):
     if payload is None:
         return None
     return copy.deepcopy(payload)
+
+
+def _drainable(queue: list, cutoff: int) -> int:
+    """How many descriptors at the head of a post FIFO were posted by ``cutoff``.
+
+    ``posted_at`` is monotone nondecreasing along the FIFO (posts stamp
+    ``env.now``; purges preserve order), so the common whole queue /
+    empty cases are O(1) checks at the ends and the mixed case is a
+    binary-search split instead of a full list scan.
+    """
+    if not queue or queue[0].posted_at > cutoff:
+        return 0
+    if queue[-1].posted_at <= cutoff:
+        return len(queue)
+    lo, hi = 0, len(queue)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if queue[mid].posted_at <= cutoff:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 class CollEpoch:
@@ -232,28 +255,12 @@ class NodeRuntime:
         restarted by the NM posts immediately) still precedes the DEM,
         which starts one strobe latency later, so the comparison is
         inclusive.
-
-        ``posted_at`` is monotone nondecreasing along the FIFO (posts
-        stamp ``env.now``; purges preserve order), so the common whole
-        queue / empty cases are O(1) checks at the ends and the mixed
-        case is a binary-search split instead of two full list scans.
         """
-        cutoff = self.slice_start_time
-        if not queue or queue[0].posted_at > cutoff:
+        k = _drainable(queue, self.slice_start_time)
+        if not k:
             return []
-        if queue[-1].posted_at <= cutoff:
-            take = queue[:]
-            queue.clear()
-            return take
-        lo, hi = 0, len(queue)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if queue[mid].posted_at <= cutoff:
-                lo = mid + 1
-            else:
-                hi = mid
-        take = queue[:lo]
-        del queue[:lo]
+        take = queue[:k]
+        del queue[:k]
         return take
 
     # -- collective helpers ------------------------------------------------------------
@@ -524,50 +531,105 @@ class DmaHelper:
             obs.spans.msg_delivered(match)
 
 
-class Transmission:
-    """A P2P microphase solved ahead of time (the batched engine's kernel).
+class ScheduleWindowError(RuntimeError):
+    """A rank read Buffer Receiver state on the nanosecond of a solved BR step.
 
-    ``steps`` lists ``(instant, matches)`` for every distinct instant at
-    which a chunk completes its message, in the order the per-chunk
-    processes would deliver them; ``rest`` holds the chunks that move
-    part of a message and deliver nothing; ``end`` is the instant the
-    last chunk lands — when the slowest DMA Helper would report in.
+    Inside a solved DEM/MSM window every Buffer Receiver step replays at
+    its own instant, so a rank's ``probe``/``cancel_recv`` sees exactly
+    what the per-node threads would show it — except on the instant of a
+    step of its own node, where the order of the read and the step is
+    not pinned down.  That case is refused by name instead of diverging.
     """
 
-    __slots__ = ("steps", "rest", "end")
+    def __init__(self, node_id: int, instant: int, call: str):
+        self.node_id = node_id
+        self.instant = instant
+        self.call = call
+        super().__init__(
+            f"{call} on node {node_id} at t={instant} ns shares its instant with "
+            "a Buffer Receiver step of a solved scheduling window "
+            "(rule: no rank-visible BR state inside a batched DEM/MSM window)"
+        )
 
-    def __init__(self, steps: list, rest: list, end: int):
-        self.steps = steps
-        self.rest = rest
+
+class PhasePlan:
+    """A microphase solved ahead of time (the batched engine's kernels).
+
+    ``heap`` holds ``(instant, seq, step, arg)`` entries: the Strobe
+    Sender's replay runs ``step(arg)`` at ``instant`` in heap order, one
+    reusable timeout per distinct instant, and a step may push the next
+    step of the same thread (a Buffer Receiver's drain discovers its
+    hold).  ``end`` is a floor on the instant the microphase completes:
+    the replay waits for it after the last step.  ``br`` maps each node
+    to the instants of its Buffer Receiver steps (DEM/MSM plans only;
+    see :class:`ScheduleWindowError`).
+    """
+
+    __slots__ = ("heap", "end", "br", "_seq")
+
+    def __init__(self, end: int, br: Optional[Dict[int, set]] = None):
+        self.heap: list = []
         self.end = end
+        self.br = br
+        self._seq = 0
+
+    def push(self, instant: int, step, arg) -> None:
+        """Run ``step(arg)`` at ``instant`` (after the steps already queued there)."""
+        heapq.heappush(self.heap, (instant, self._seq, step, arg))
+        self._seq += 1
+
+    def push_br(self, instant: int, node_id: int, step, arg) -> None:
+        """:meth:`push` a Buffer Receiver step of ``node_id``."""
+        self.push(instant, step, arg)
+        at = self.br.get(node_id)
+        if at is None:
+            self.br[node_id] = {instant}
+        else:
+            at.add(instant)
 
 
-def solve_transmission(runtime: "BcsRuntime", granted: Grants) -> Optional[Transmission]:
+def _refuse(runtime: "BcsRuntime", family: str, reason: str) -> None:
+    """Count why a microphase falls back to its per-node processes."""
+    runtime.stats[f"{family}_fallback.{reason}"] += 1
+    return None
+
+
+def _unicast_traced(fabric) -> bool:
+    trace = fabric.trace
+    return trace is not None and trace.enabled_for("fabric.unicast")
+
+
+def solve_transmission(runtime: "BcsRuntime", granted: Grants) -> Optional[PhasePlan]:
     """Solve a P2P microphase in one pass, or None if it must run as processes.
 
     Every granted chunk is normally its own DMA Helper process (NIC hold,
     then :meth:`Fabric.unicast`).  When the microphase's window is closed
     — nothing outside it can act before its last chunk lands — the same
     instants follow from :meth:`Fabric.solve_unicasts` and the Strobe
-    Sender only has to replay the deliveries.  The window is closed when:
+    Sender only has to replay the deliveries.  The window is closed when
+    (each refusal is counted as ``p2p_fallback.<reason>``):
 
-    1. no telemetry is attached and unicasts are not traced (their
-       records and spans come from the per-chunk path);
-    2. every thread processor and link half involved is idle with an
-       empty wait queue (checked by the fabric solve);
-    3. the next queued event comes strictly after the last chunk lands;
-    4. no grant is system-class (a PFS drain may wait on its request;
-       user requests are only awaited through ``NodeManager.block_on``,
-       which parks the rank until the next slice boundary).
+    1. ``obs`` — no telemetry is attached and unicasts are not traced
+       (their records and spans come from the per-chunk path);
+    2. ``system`` — no grant is system-class (a PFS drain may wait on its
+       request; user requests are only awaited through
+       ``NodeManager.block_on``, which parks the rank until the next
+       slice boundary);
+    3. ``busy`` — every thread processor and link half involved is idle
+       with an empty wait queue (checked by the fabric solve, which also
+       declines a negative NIC cost or a zero-delay last step);
+    4. ``foreign_event`` — the next queued event comes strictly after
+       the last chunk lands.
 
-    On success the fabric's transfer counters are committed; the caller
-    must then replay ``steps``/``rest`` through :meth:`DmaHelper.land`.
+    On success the fabric's transfer counters are committed; the plan
+    books the chunks that deliver nothing when the window opens and
+    replays every delivery through :meth:`DmaHelper.land`.
     """
     hold = runtime.config.nic_descriptor_cost
-    if runtime.obs is not None or hold < 0:
-        return None
-    by_dst = granted.by_dst
     fabric = runtime.cluster.fabric
+    if runtime.obs is not None or _unicast_traced(fabric):
+        return _refuse(runtime, "p2p", "obs")
+    by_dst = granted.by_dst
     nics = fabric.nics
     queues = []
     flat = []
@@ -576,33 +638,280 @@ def solve_transmission(runtime: "BcsRuntime", granted: Grants) -> Optional[Trans
         transfers = []
         for m in mine:
             if m.system:
-                return None
+                return _refuse(runtime, "p2p", "system")
             transfers.append((m.src_node, dst, m.scheduled_now))
         queues.append((nics[dst].thread_processor, transfers))
         flat.extend(mine)
-    solved = fabric.solve_unicasts(queues, hold)
+    solved = fabric.solve_unicasts(queues, hold) if hold >= 0 else None
     if solved is None:
-        return None
+        return _refuse(runtime, "p2p", "busy")
     done, order, end = solved
     t_next = runtime.env.peek()
     if t_next is not None and t_next <= end:
-        return None
+        return _refuse(runtime, "p2p", "foreign_event")
 
     fabric.transfers += len(flat)
     fabric.bytes_moved += sum(m.scheduled_now for m in flat)
-    steps = []
+    agents = runtime.agents
+
+    def land(matches):
+        for m in matches:
+            agents[m.dst_node].dh.land(m)
+
+    plan = PhasePlan(end)
     rest = []
+    plan.push(runtime.env.now, land, rest)
     last = None
     for k in order:
         m = flat[k]
         if m.bytes_done + m.scheduled_now < m.total_bytes:
             rest.append(m)
         elif done[k] == last:
-            steps[-1][1].append(m)
+            group.append(m)
         else:
             last = done[k]
-            steps.append((last, [m]))
-    return Transmission(steps, rest, end)
+            group = [m]
+            plan.push(last, land, group)
+    return plan
+
+
+def _awaits_request(ev) -> bool:
+    """Is ``ev`` a wait on an incomplete BCS request (``NodeManager.block_on``)?"""
+    if type(ev) is AllOf:
+        return any(_awaits_request(e) for e in ev.events)
+    return type(ev) is Event and not ev.triggered and ev.name.startswith("req:")
+
+
+def _host_only(runtime: "BcsRuntime", end: int) -> Optional[str]:
+    """Guards 4 and 5 of a scheduling window ``[now, end]``; a reason or None.
+
+    ``foreign_event``: every event queued at or before ``end`` is inert or
+    resumes a live rank process of this runtime that nothing waits on
+    (ranks reach the NIC only through the post FIFOs), and the window opens
+    after the slice boundary (so everything a rank posts inside it is
+    stamped after the DEM cutoff).  ``job_may_finish``: every job with a
+    rank event in the window keeps another live rank whose wake-up cannot
+    come before ``end`` — its queued event is later, or it waits for the
+    slice-boundary pulse or for a request completion (neither happens in
+    DEM/MSM); a rank queued on the host CPU does not count.
+    """
+    env = runtime.env
+    if env.now <= runtime.slice_start_time:
+        return "foreign_event"
+    ranks = runtime.rank_procs
+    owner = None  # live rank process -> (job_id, rank), built on demand
+    due = set()
+    jobs = set()
+    for _, ev in env.due(end):
+        due.add(id(ev))
+        if not ev.callbacks:
+            continue
+        if owner is None:
+            owner = {proc: key for key, proc in ranks.items()}
+        for cb in ev.callbacks:
+            # A process registers only its own ``_resume`` as a callback;
+            # one that others wait on would wake them if it finished.
+            proc = getattr(cb, "__self__", None)
+            key = owner.get(proc)
+            if key is None or proc.callbacks:
+                return "foreign_event"
+            jobs.add(key[0])
+    for job_id in jobs:
+        placement = runtime.jobs[job_id].placement
+        for (owner_job, rank), proc in ranks.items():
+            if owner_job != job_id:
+                continue
+            ev = proc.target
+            if ev is None:
+                continue
+            if ev.triggered:
+                if ev.callbacks is not None and id(ev) not in due:
+                    break
+            elif _awaits_request(ev) or (
+                ev in runtime.node_rt(placement[rank]).slice_start._waiters
+            ):
+                break
+        else:
+            return "job_may_finish"
+    return None
+
+
+def solve_exchange(runtime: "BcsRuntime", nodes: List[int]) -> Optional[PhasePlan]:
+    """Solve a Descriptor Exchange Microphase in one pass, or None.
+
+    Each node's Buffer Sender ships its drained send descriptors one
+    after another (a ``nic_descriptor_cost`` hold, then a unicast of
+    ``descriptor_bytes``), so the exchange is a set of chains that only
+    meet on receive halves: :meth:`Fabric.solve_unicasts` in chained
+    mode gives every arrival.  The plan delivers each descriptor at its
+    arrival and runs each node's Buffer Receiver step as it is reached —
+    drain at the chain end, the batch hold computed from the live drain,
+    the matcher batch at the hold's end, the same for collectives, then
+    the local flags — exactly as :meth:`BufferSender.dem_phase` followed
+    by :meth:`BufferReceiver.dem_phase` would.
+
+    Ranks may run inside the window.  It opens only when (each refusal
+    is counted as ``sched_fallback.<reason>``): ``obs`` — no telemetry,
+    unicasts untraced; ``br_observed`` — no rank has read BR state yet
+    (``BcsApi.probe``/``cancel_recv``); ``system`` — no descriptor is
+    system-class; ``busy`` — every thread processor and link half
+    involved is idle with an empty wait queue; and the host-only guards
+    of :func:`_host_only`.
+    """
+    fabric = runtime.cluster.fabric
+    if runtime.obs is not None or _unicast_traced(fabric):
+        return _refuse(runtime, "sched", "obs")
+    if runtime.br_observed:
+        return _refuse(runtime, "sched", "br_observed")
+    cost = runtime.config.nic_descriptor_cost
+    size = runtime.config.descriptor_bytes
+    rts = runtime.node_runtimes
+    nics = fabric.nics
+    cutoff = runtime.slice_start_time
+    queues = []
+    taken = []
+    for node in nodes:
+        nrt = rts[node]
+        sends = nrt.posted_sends[: _drainable(nrt.posted_sends, cutoff)]
+        transfers = []
+        for desc in sends:
+            if desc.job_id < 0:
+                return _refuse(runtime, "sched", "system")
+            info = runtime.comm_info(desc.job_id, desc.comm_id)
+            transfers.append((node, info.node_of(desc.dst_rank), size))
+        queues.append((nics[node].thread_processor, transfers))
+        taken.append(sends)
+    solved = fabric.solve_unicasts(queues, cost, chained=True) if cost >= 0 else None
+    if solved is None:
+        return _refuse(runtime, "sched", "busy")
+    done, order, _ = solved
+    now = runtime.env.now
+    end = now
+    chain_end = []
+    k = 0
+    for node, sends in zip(nodes, taken):
+        k += len(sends)
+        t = done[k - 1] if sends else now
+        chain_end.append(t)
+        nrt = rts[node]
+        t += cost * (_drainable(nrt.posted_recvs, cutoff) + _drainable(nrt.posted_colls, cutoff))
+        if t > end:
+            end = t
+    reason = _host_only(runtime, end)
+    if reason is not None:
+        return _refuse(runtime, "sched", reason)
+
+    flat = []
+    for node, sends in zip(nodes, taken):
+        if sends:
+            del rts[node].posted_sends[: len(sends)]
+            flat.extend(sends)
+    fabric.transfers += len(flat)
+    fabric.bytes_moved += len(flat) * size
+    dst_of = [dst for _, transfers in queues for _, dst, _ in transfers]
+    env = runtime.env
+    agents = runtime.agents
+    stats = runtime.stats
+    plan = PhasePlan(now, {})
+
+    def deliver(ks):
+        for k in ks:
+            rts[dst_of[k]].deliver_send(flat[k])
+        stats["descriptors_exchanged"] += len(ks)
+
+    def drain_recvs(nrt):
+        recvs = nrt._drain_posted(nrt.posted_recvs)
+        if not recvs:
+            drain_colls(nrt)
+        elif cost:
+            plan.push_br(env.now + cost * len(recvs), nrt.node_id, match_recvs, (nrt, recvs))
+        else:
+            match_recvs((nrt, recvs))
+
+    def match_recvs(arg):
+        nrt, recvs = arg
+        br = agents[nrt.node_id].br
+        for _, match in nrt.matcher.add_recv_batch(recvs):
+            br._register_match(match)
+        drain_colls(nrt)
+
+    def drain_colls(nrt):
+        colls = nrt._drain_posted(nrt.posted_colls)
+        if colls and cost:
+            plan.push_br(env.now + cost * len(colls), nrt.node_id, absorb, (nrt, colls))
+        else:
+            absorb((nrt, colls))
+
+    def absorb(arg):
+        nrt, colls = arg
+        for desc in colls:
+            nrt._epoch(desc.job_id, desc.comm_id, desc.epoch).absorb(desc)
+        agents[nrt.node_id].br._advance_local_flags()
+
+    last = None
+    for k in order:
+        if done[k] == last:
+            group.append(k)
+        else:
+            last = done[k]
+            group = [k]
+            plan.push(last, deliver, group)
+    for node, t in zip(nodes, chain_end):
+        plan.push_br(t, node, drain_recvs, rts[node])
+    return plan
+
+
+def solve_scheduling(runtime: "BcsRuntime", nodes: List[int]) -> Optional[PhasePlan]:
+    """Solve a Message Scheduling Microphase in one pass, or None.
+
+    Each node's Buffer Receiver takes the sends delivered in the DEM,
+    holds its thread processor for one ``compute_batch`` and runs the
+    matcher's ``add_send_batch`` at the hold's end — what
+    :meth:`BufferReceiver.msm_phase` does when no collective is ready to
+    schedule.  Refusals: ``collective`` — some node would issue a
+    Compare-And-Write query; ``busy`` — a thread processor is held or
+    queued; otherwise the guards of :func:`solve_exchange`.
+    """
+    if runtime.obs is not None:
+        return _refuse(runtime, "sched", "obs")
+    if runtime.br_observed:
+        return _refuse(runtime, "sched", "br_observed")
+    rts = runtime.node_runtimes
+    for node in nodes:
+        if runtime._msm_schedulable(rts[node]):
+            return _refuse(runtime, "sched", "collective")
+    cost = runtime.config.nic_descriptor_cost
+    if cost < 0:
+        return _refuse(runtime, "sched", "busy")
+    nics = runtime.cluster.fabric.nics
+    now = runtime.env.now
+    end = now
+    for node in nodes:
+        tproc = nics[node].thread_processor
+        if tproc.in_use or tproc.queue_length:
+            return _refuse(runtime, "sched", "busy")
+        t = now + cost * len(rts[node].arrived_sends)
+        if t > end:
+            end = t
+    reason = _host_only(runtime, end)
+    if reason is not None:
+        return _refuse(runtime, "sched", reason)
+
+    agents = runtime.agents
+    plan = PhasePlan(now, {})
+
+    def match_sends(arg):
+        nrt, arrived = arg
+        br = agents[nrt.node_id].br
+        for _, match in nrt.matcher.add_send_batch(arrived):
+            br._register_match(match)
+
+    for node in nodes:
+        nrt = rts[node]
+        arrived, nrt.arrived_sends = nrt.arrived_sends, []
+        if arrived:
+            plan.push_br(now + cost * len(arrived), node, match_sends, (nrt, arrived))
+    return plan
 
 
 class CollectiveHelper:

@@ -114,17 +114,24 @@ class Fabric:
                 label=label,
             )
 
-    def solve_unicasts(self, queues: Sequence[tuple], hold: int):
+    def solve_unicasts(self, queues: Sequence[tuple], hold: int, chained: bool = False):
         """Exact timing of a batch of :meth:`unicast` calls, without running them.
 
-        ``queues`` pairs a FIFO issuer (a NIC thread processor
+        ``queues`` pairs an issuer (a NIC thread processor
         :class:`~repro.sim.Resource`) with the ``(src, dst, size)``
-        transfers it issues, in order.  The batch stands for this event
-        sequence: at ``env.now`` one process per transfer starts, queue
-        by queue in list order; each holds its queue's issuer for
-        ``hold`` ns (when ``hold > 0``) and then runs :meth:`unicast`.
+        transfers it issues, in order.  Two batch shapes are solved:
+
+        - *FIFO-parallel* (the P2P microphase's DMA Helpers): at
+          ``env.now`` one process per transfer starts, queue by queue in
+          list order; each holds its queue's issuer for ``hold`` ns
+          (when ``hold > 0``) and then runs :meth:`unicast`.
+        - *chained* (``chained=True``, the DEM's Buffer Senders): one
+          process per queue starts at ``env.now``, in list order, and
+          runs its transfers back to back — hold the issuer, unicast,
+          and only after the arrival the next hold.
+
         A private loop over ``(time, seq)`` replays those processes'
-        scheduling steps in the engine's order — FIFO issuer grants, the
+        scheduling steps in the engine's order — issuer grants, the
         loopback and ``try_acquire`` fast paths, the ordered tx-then-rx
         fallback, releases granting the next waiter — so every transfer
         finishes at the instant the engine would finish it.
@@ -136,8 +143,10 @@ class Fabric:
         order the engine would complete them, and the last instant.
         Returns None when the batch cannot be solved in isolation: an
         issuer or link half it uses is busy or has waiters now, unicast
-        tracing is on, or a transfer's last step has zero delay (it would
-        interleave with events created at that same instant).
+        tracing is on, or — FIFO-parallel only — a transfer's last step
+        has zero delay (it would interleave with events created at that
+        same instant; a chain's arrivals are replayed in solved order,
+        so zero-delay steps are exact there).
         """
         if self.trace is not None and self.trace.enabled_for("fabric.unicast"):
             return None
@@ -150,130 +159,174 @@ class Fabric:
         now = self.env.now
 
         issuer = []  # per transfer: its queue's index
+        nxt = []  # chained: the next transfer of the same queue, or -1
         src_of = []
         dst_of = []
         span = []  # loopback: DMA time; remote: link hold (startup + wire)
         tail = []  # remote: wire latency after the link hold
         tx_nodes = set()
         rx_nodes = set()
+        heads = []  # chained: each non-empty queue's first transfer
+        latency_of: dict = {}  # hops -> wire latency
+        wire_of: dict = {}  # size -> link hold
         for q, (res, transfers) in enumerate(queues):
             if res.in_use or res.queue_length:
                 return None
+            if transfers:
+                heads.append(len(issuer))
             for src, dst, size in transfers:
                 issuer.append(q)
+                nxt.append(len(issuer))
                 src_of.append(src)
                 dst_of.append(dst)
                 if src == dst:
                     span.append(startup + bw_time(size, bandwidth))
                     tail.append(0)
-                    if span[-1] == 0:
+                    if span[-1] == 0 and not chained:
                         return None
                     continue
-                latency = model.latency(hops(src, dst))
-                if latency == 0:
+                h = hops(src, dst)
+                latency = latency_of.get(h)
+                if latency is None:
+                    latency = latency_of[h] = model.latency(h)
+                if latency == 0 and not chained:
                     return None
-                span.append(startup + bw_time(size + header, bandwidth))
+                wire = wire_of.get(size)
+                if wire is None:
+                    wire = wire_of[size] = startup + bw_time(size + header, bandwidth)
+                span.append(wire)
                 tail.append(latency)
                 tx_nodes.add(src)
                 rx_nodes.add(dst)
+            if transfers:
+                nxt[-1] = -1
         links = [nics[n].tx for n in tx_nodes] + [nics[n].rx for n in rx_nodes]
         if any(link.in_use or link.queue_length for link in links):
             return None
 
         n = len(issuer)
-        state = [0] * n
         done = [0] * n
         order = []
         # Resource -> FIFO of waiters; a key is present while it is held.
         issuer_wait: dict = {}
         tx_wait: dict = {}
         rx_wait: dict = {}
-        # Heap keys are ``time * big + seq``; ``who[seq]`` is the transfer.
-        # A transfer schedules at most six events, so seq stays below big.
+        # A pending step of transfer ``i`` is coded ``i * 8 + step``;
+        # below, ``k`` is the base ``i * 8`` (waiter FIFOs hold bases).
+        # Steps of a later instant sit in ``heap`` under ``time * big +
+        # seq`` (``who[seq]`` is the code); a transfer schedules at most
+        # six, so seq stays below big.  Steps due at the current instant
+        # — grants, zero-delay holds — come after every heap entry of
+        # that instant (those were scheduled earlier), so a FIFO keeps
+        # them in order without a heap push.
         big = 8 * n + 8
         heap: list = []
         who: list = []
-        pop, push = heapq.heappop, heapq.heappush
+        ready: deque = deque()
+        pop, push, later = heapq.heappop, heapq.heappush, who.append
+        GRANT, HELD, TX, RX, LINK, ARRIVE = 1, 2, 3, 4, 5, 6
 
         def start_link(t, k):  # unicast() entered at ``t``
-            src, dst = src_of[k], dst_of[k]
+            i = k >> 3
+            src, dst = src_of[i], dst_of[i]
             if src == dst:
-                push(heap, (t + span[k]) * big + len(who))
-                who.append(k)
-                state[k] = 6
+                code, delay = k + ARRIVE, span[i]
             elif src not in tx_wait:
                 tx_wait[src] = deque()
-                if dst not in rx_wait:  # both halves free: claim both now
-                    rx_wait[dst] = deque()
-                    push(heap, (t + span[k]) * big + len(who))
-                    state[k] = 5
-                else:  # rx busy: give tx back, re-request it (granted now)
-                    push(heap, t * big + len(who))
-                    state[k] = 3
-                who.append(k)
+                if dst in rx_wait:  # rx busy: give tx back, re-request it (granted now)
+                    ready.append(k + TX)
+                    return
+                rx_wait[dst] = deque()  # both halves free: claim both now
+                code, delay = k + LINK, span[i]
             else:
                 tx_wait[src].append(k)
-                state[k] = 3
+                return
+            if delay:
+                push(heap, (t + delay) * big + len(who))
+                later(code)
+            else:
+                ready.append(code)
 
-        # Every process starts at ``now``, ahead of anything it schedules.
-        for k in range(n):
+        def start(t, k):  # the process asks the issuer for transfer ``k``
             if hold <= 0:
-                start_link(now, k)
-                continue
-            q = issuer[k]
+                start_link(t, k)
+                return
+            if chained:  # a chain's issuer is free between its transfers
+                ready.append(k + GRANT)
+                return
+            q = issuer[k >> 3]
             waiters = issuer_wait.get(q)
             if waiters is None:
                 issuer_wait[q] = deque()
-                push(heap, now * big + len(who))
-                who.append(k)
+                ready.append(k + GRANT)
             else:
                 waiters.append(k)
-            state[k] = 1
-        while heap:
-            t, seq = divmod(pop(heap), big)
-            k = who[seq]
-            st = state[k]
-            if st == 1:  # issuer granted: hold it
-                push(heap, (t + hold) * big + len(who))
-                who.append(k)
-                state[k] = 2
-            elif st == 2:  # issuer hold over: pass it on, enter unicast()
-                q = issuer[k]
-                waiters = issuer_wait[q]
-                if waiters:
-                    push(heap, t * big + len(who))
-                    who.append(waiters.popleft())
-                else:
-                    del issuer_wait[q]
-                start_link(t, k)
-            elif st == 5:  # link hold over: release tx, then rx; fly
-                for held, node in ((tx_wait, src_of[k]), (rx_wait, dst_of[k])):
-                    waiters = held[node]
+
+        # Every process starts at ``now``, ahead of anything it schedules.
+        t = now
+        limit = (now + 1) * big
+        for k in heads if chained else range(n):
+            start(now, k * 8)
+        while ready or heap:
+            if ready and (not heap or heap[0] >= limit):
+                code = ready.popleft()
+            else:
+                key = pop(heap)
+                t = key // big
+                limit = (t + 1) * big
+                code = who[key - t * big]
+            step = code & 7
+            k = code - step
+            if step == HELD:  # issuer hold over: pass it on, enter unicast()
+                if not chained:
+                    q = issuer[k >> 3]
+                    waiters = issuer_wait[q]
                     if waiters:
-                        push(heap, t * big + len(who))
-                        who.append(waiters.popleft())
+                        ready.append(waiters.popleft() + GRANT)
                     else:
-                        del held[node]
-                push(heap, (t + tail[k]) * big + len(who))
-                who.append(k)
-                state[k] = 6
-            elif st == 6:  # arrived
-                done[k] = t
-                order.append(k)
-            elif st == 3:  # tx granted: request rx
-                dst = dst_of[k]
+                        del issuer_wait[q]
+                start_link(t, k)
+            elif step == LINK:  # link hold over: release tx, then rx; fly
+                i = k >> 3
+                waiters = tx_wait[src_of[i]]
+                if waiters:
+                    ready.append(waiters.popleft() + TX)
+                else:
+                    del tx_wait[src_of[i]]
+                waiters = rx_wait[dst_of[i]]
+                if waiters:
+                    ready.append(waiters.popleft() + RX)
+                else:
+                    del rx_wait[dst_of[i]]
+                if tail[i]:
+                    push(heap, (t + tail[i]) * big + len(who))
+                    later(k + ARRIVE)
+                else:
+                    ready.append(k + ARRIVE)
+            elif step == ARRIVE:  # arrived; a chain issues its next transfer
+                i = k >> 3
+                done[i] = t
+                order.append(i)
+                if chained and nxt[i] >= 0:
+                    start(t, nxt[i] * 8)
+            elif step == GRANT:  # issuer granted: hold it
+                push(heap, (t + hold) * big + len(who))
+                later(k + HELD)
+            elif step == TX:  # tx granted: request rx
+                dst = dst_of[k >> 3]
                 waiters = rx_wait.get(dst)
                 if waiters is None:
                     rx_wait[dst] = deque()
-                    push(heap, t * big + len(who))
-                    who.append(k)
+                    ready.append(k + RX)
                 else:
                     waiters.append(k)
-                state[k] = 4
-            else:  # st == 4: rx granted: hold both halves
-                push(heap, (t + span[k]) * big + len(who))
-                who.append(k)
-                state[k] = 5
+            else:  # RX granted: hold both halves
+                delay = span[k >> 3]
+                if delay:
+                    push(heap, (t + delay) * big + len(who))
+                    later(k + LINK)
+                else:
+                    ready.append(k + LINK)
         return done, order, max(done, default=now)
 
     # -- multicast -----------------------------------------------------------------

@@ -82,6 +82,28 @@ class Engine:
         """Time of the next scheduled event, or None if the queue is empty."""
         return self._queue[0][0] if self._queue else None
 
+    def due(self, t: int, _heappush=heapq.heappush, _heappop=heapq.heappop):
+        """Yield ``(time, event)`` for every queued event due at or before ``t``.
+
+        Events come in the order :meth:`step` would process them (time,
+        then priority, then scheduling order), including inert events
+        whose callbacks list is empty.  Only the due part of the heap is
+        visited — a child entry is never earlier than its parent, so a
+        subtree whose root is past ``t`` is skipped whole.  The queue is
+        not modified; do not schedule events while iterating.
+        """
+        queue = self._queue
+        if not queue or queue[0][0] > t:
+            return
+        frontier = [(queue[0], 0)]
+        n = len(queue)
+        while frontier:
+            entry, i = _heappop(frontier)
+            yield entry[0], entry[3]
+            for c in (2 * i + 1, 2 * i + 2):
+                if c < n and queue[c][0] <= t:
+                    _heappush(frontier, (queue[c], c))
+
     def step(self, _heappop=heapq.heappop) -> None:
         """Process the next scheduled event."""
         when, _prio, _seq, event = _heappop(self._queue)

@@ -362,3 +362,66 @@ def test_priority_orders_same_instant():
     env.schedule(high, delay=0, priority=1)
     env.run()
     assert order == ["high", "low"]
+
+
+# -- Engine.due: the queued events due by an instant ------------------------------
+
+
+def _processing_order(env):
+    """Drain the engine, recording each event as :meth:`Engine.step` takes it."""
+    seen = []
+    while env.peek() is not None:
+        seen.append((env.peek(), env._queue[0][3]))
+        env.step()
+    return seen
+
+
+def test_due_yields_in_processing_order():
+    env = Engine()
+    events = [env.timeout(d) for d in (30, 10, 20, 10, 0, 25, 10, 5)]
+    assert [e for _, e in env.due(30)] == [e for _, e in _processing_order(env)]
+    assert len(events) == 8
+
+
+def test_due_stops_at_the_instant_inclusive():
+    env = Engine()
+    early = [env.timeout(d) for d in (7, 3, 5)]
+    at = env.timeout(10)
+    late = [env.timeout(d) for d in (11, 40)]
+    got = list(env.due(10))
+    assert [t for t, _ in got] == [3, 5, 7, 10]
+    assert [e for _, e in got] == [early[1], early[2], early[0], at]
+    assert all(e not in {ev for _, ev in got} for e in late)
+    assert list(env.due(2)) == []
+
+
+def test_due_breaks_ties_by_priority_then_scheduling_order():
+    env = Engine()
+    first, second, urgent = Event(env), Event(env), Event(env)
+    env.schedule(first, delay=4)
+    env.schedule(second, delay=4)
+    env.schedule(urgent, delay=4, priority=-1)
+    assert [e for _, e in env.due(4)] == [urgent, first, second]
+
+
+def test_due_includes_inert_events_and_leaves_the_queue_alone():
+    env = Engine()
+    inert = env.timeout(3)  # nobody waits on it: empty callbacks
+    seen = []
+
+    def body():
+        yield env.timeout(3)
+        seen.append(env.now)
+
+    env.process(body())
+    before = list(env._queue)
+    got = list(env.due(3))
+    assert env._queue == before
+    assert inert in [e for _, e in got]
+    assert [e.callbacks for _, e in got if e is inert] == [[]]
+    env.run()
+    assert seen == [3]
+
+
+def test_due_on_an_empty_queue():
+    assert list(Engine().due(100)) == []
