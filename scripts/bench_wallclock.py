@@ -5,7 +5,7 @@ Runs a small suite of macro replays (idle-heavy, where the Strobe
 Sender's idle fast-forward dominates) and dense micro benchmarks (every
 slice active, where the engine/matching/fabric fast paths must at least
 not regress), each twice: once with the optimized defaults and once with
-the optimizations disabled (``idle_fast_forward=False, matcher="linear"``).
+the reference simulator (``BcsConfig(reference=True)``).
 
 Every pair asserts that the *virtual* runtime is byte-identical — the
 optimizations must never change simulated time — and reports the
@@ -34,7 +34,6 @@ import json
 import math
 import multiprocessing as mp
 import platform
-import resource
 import sys
 import time
 from pathlib import Path
@@ -50,7 +49,7 @@ from repro.apps.synthetic import (  # noqa: E402
 )
 from repro.bcs import BcsConfig, BcsRuntime  # noqa: E402
 from repro.harness.runner import run_workload  # noqa: E402
-from repro.harness.scaling import gc_counters, tune_gc  # noqa: E402
+from repro.harness.scaling import gc_counters, peak_rss_mib, tune_gc  # noqa: E402
 from repro.network import Cluster, ClusterSpec  # noqa: E402
 from repro.obs.trends.calibrate import Calibration  # noqa: E402
 from repro.storm import JobSpec  # noqa: E402
@@ -162,26 +161,7 @@ def benchmarks(quick: bool):
 
 def _slow_config(**cfg_kwargs) -> BcsConfig:
     """The reference (pre-optimization) simulator configuration."""
-    return BcsConfig(
-        idle_fast_forward=False,
-        matcher="linear",
-        incremental_active_sets=False,
-        batched_matching=False,
-        aggregated_strobe=False,
-        **cfg_kwargs,
-    )
-
-
-def _peak_rss_mib() -> float:
-    """Process peak RSS in MiB (``ru_maxrss`` is KiB on Linux).
-
-    The kernel counter is a cumulative high-water mark: it only ever
-    grows over the process lifetime, so each benchmark's record holds
-    the high-water mark *observed after it ran*, not an isolated
-    footprint.  Growth between consecutive benchmarks is still the
-    signal the ``bench.rss.*`` trend series watches for.
-    """
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return BcsConfig(reference=True, **cfg_kwargs)
 
 
 def run_case(app, n_ranks, params, cfg_kwargs, reps: int):
@@ -221,9 +201,7 @@ def _scaling_leg(conn, app, n_ranks, params, cfg_kwargs, n_nodes, reps, fast):
 
     ``ru_maxrss`` is a cumulative high-water mark, so the only way to
     attribute a peak RSS to one configuration is to give each leg its
-    own process.  The optimized leg also gets the lazy node directory
-    (flyweight nodes are part of what it is measuring); the reference
-    leg builds the cluster eagerly like the pre-arena engine did.
+    own process.
     """
     cfg_fn = BcsConfig if fast else _slow_config
     # Warm the interpreter on a toy cluster, then freeze the warm graph
@@ -231,15 +209,15 @@ def _scaling_leg(conn, app, n_ranks, params, cfg_kwargs, n_nodes, reps, fast):
     warm_spec = JobSpec(
         app=app, n_ranks=2, name="warm", params={**params, "iterations": 2}
     )
-    BcsRuntime(
-        Cluster(ClusterSpec(n_nodes=8, lazy_nodes=fast)), cfg_fn(**cfg_kwargs)
-    ).run_job(warm_spec, max_time=seconds(3600))
+    BcsRuntime(Cluster(ClusterSpec(n_nodes=8)), cfg_fn(**cfg_kwargs)).run_job(
+        warm_spec, max_time=seconds(3600)
+    )
     tune_gc()
     best = math.inf
     result = None
     gc_delta = 0
     for _ in range(reps):
-        cluster = Cluster(ClusterSpec(n_nodes=n_nodes, lazy_nodes=fast))
+        cluster = Cluster(ClusterSpec(n_nodes=n_nodes))
         runtime = BcsRuntime(cluster, cfg_fn(**cfg_kwargs))
         spec = JobSpec(app=app, n_ranks=n_ranks, name="bench", params=params)
         gc0, _ = gc_counters()
@@ -253,7 +231,7 @@ def _scaling_leg(conn, app, n_ranks, params, cfg_kwargs, n_nodes, reps, fast):
             best,
             result.runtime_ns,
             result.stats,
-            _peak_rss_mib(),
+            peak_rss_mib(),
             gc_delta,
             gc_counters()[1],
         )
@@ -333,7 +311,7 @@ def run_suite(quick: bool) -> dict:
             # the trend series watches.  Scaling cases measure theirs in
             # an isolated child (see run_scaling_case).
             extras = {
-                "peak_rss_mib": _peak_rss_mib(),
+                "peak_rss_mib": peak_rss_mib(),
                 "gc_collections": gc1 - gc0,
                 "gc_objects": gc_objects,
             }

@@ -315,7 +315,7 @@ class BcsApi:
         request object identity.
         """
         runtime = self.runtime
-        if not runtime.config.batched_matching:
+        if runtime.config.reference:
             return
         obs = runtime.obs
         if obs is not None and obs.spans is not None:

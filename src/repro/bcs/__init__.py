@@ -14,7 +14,7 @@ from .descriptors import (
     RecvDescriptor,
     SendDescriptor,
 )
-from .matching import HashMatcher, LinearMatcher, Matcher, TruncationError, make_matcher
+from .matching import HashMatcher, LinearMatcher, Matcher, TruncationError
 from .runtime import BcsRuntime, CommInfo, RankHandle
 from .scheduler import SliceScheduler
 from .strobe import MICROPHASES, StrobeReceiver, StrobeSender
@@ -32,7 +32,6 @@ __all__ = [
     "MICROPHASES",
     "Match",
     "Matcher",
-    "make_matcher",
     "RankHandle",
     "RecvDescriptor",
     "SendDescriptor",

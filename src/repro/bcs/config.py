@@ -13,6 +13,23 @@ from dataclasses import dataclass, replace
 from ..units import seconds, us
 
 
+#: Durations, costs and byte sizes: a negative value has no
+#: meaning and would silently distort the slice machine (a negative
+#: ``max_chunk_bytes`` used to schedule 1-byte chunks).
+_NON_NEGATIVE = (
+    "dem_min_duration",
+    "msm_min_duration",
+    "descriptor_bytes",
+    "strobe_bytes",
+    "descriptor_post_cost",
+    "nic_descriptor_cost",
+    "nic_reduce_cost_per_element",
+    "max_chunk_bytes",
+    "init_cost",
+    "nm_compute_tax",
+)
+
+
 @dataclass(frozen=True)
 class BcsConfig:
     """Tunable parameters of the BCS-MPI runtime."""
@@ -59,52 +76,28 @@ class BcsConfig:
     buffered_sends: bool = True
     #: Stop the strobe loop automatically when no jobs remain.
     auto_stop: bool = True
-    #: Skip idle slices in one jump when the cluster has no pending work
-    #: and no event can create any before the next-event time (pure
-    #: simulator wall-clock optimization; virtual timings are identical).
-    idle_fast_forward: bool = True
-    #: MPI matching implementation: "hash" (bucketed, O(1) amortized) or
-    #: "linear" (reference list scan).  Identical match sequences.
-    matcher: str = "hash"
-    #: Answer the Strobe Sender's per-slice questions (``any_work``,
-    #: ``dem/msm/bbm/rm_nodes``, slice-boundary wake pulses) from
-    #: incrementally maintained active-node sets instead of scanning
-    #: every node runtime.  Per-slice cost becomes O(active nodes); the
-    #: full-scan path is kept as the reference oracle (pure simulator
-    #: wall-clock optimization; virtual timings are identical).
-    incremental_active_sets: bool = True
-    #: Batched slice engine: during the DEM/MSM microphases the NIC
-    #: threads gather a node's pending descriptors into per-slice
-    #: batches — one NIC hold covers the whole batch (same total cost,
-    #: fewer simulator events) and the matcher resolves the batch with
-    #: vectorized numpy bucket joins, falling back to the object path
-    #: for wildcard (``ANY_SOURCE``/``ANY_TAG``) descriptors so MPI
-    #: ordering semantics are preserved exactly.  The per-descriptor
-    #: object path is kept as the differential oracle (pure simulator
-    #: wall-clock optimization; virtual timings are identical).
-    batched_matching: bool = True
-    #: Aggregated strobe + arena node state: the Strobe Sender charges
-    #: one tree-shaped multicast event (latency from
-    #: ``NetworkModel.multicast_latency``, cached per active-set size)
-    #: instead of walking the per-destination control-multicast path,
-    #: reports microphase completion with one batched arena increment
-    #: instead of a per-node ``gas.write`` loop, and the runtime
-    #: materializes per-node objects (NodeRuntime, NIC threads, Strobe
-    #: Receiver) lazily — only nodes that host ranks or receive traffic
-    #: ever exist as Python objects, so a 64k-node machine costs O(active
-    #: nodes) per slice and O(active nodes) in object-graph footprint.
-    #: The eager per-destination path is kept as the differential oracle
-    #: (pure simulator wall-clock/footprint optimization; virtual
-    #: timings are identical).
-    aggregated_strobe: bool = True
+    #: Run the reference simulator instead of the fast one.  The fast
+    #: path (default) skips provably idle slices, matches with
+    #: :class:`~repro.bcs.matching.HashMatcher`, answers the Strobe
+    #: Sender's per-slice questions from incrementally maintained
+    #: active-node sets, solves DEM/MSM/P2P microphases in one pass
+    #: (falling back to batched NIC threads when a guard refuses),
+    #: charges each microstrobe as one aggregated tree multicast and
+    #: materializes per-node objects lazily.  The reference path walks
+    #: every slice, matches with the
+    #: :class:`~repro.bcs.matching.LinearMatcher` list scan, scans every
+    #: node runtime, runs one NIC-thread step per descriptor and chunk,
+    #: walks the per-destination strobe multicast and builds every node
+    #: runtime and Strobe Receiver eagerly.  Virtual time is identical
+    #: on both; only host wall-clock and footprint differ.
+    reference: bool = False
 
     def __post_init__(self):
         if self.timeslice <= 0:
             raise ValueError("timeslice must be positive")
-        if self.matcher not in ("hash", "linear"):
-            raise ValueError(
-                f"matcher must be 'hash' or 'linear', not {self.matcher!r}"
-            )
+        for name in _NON_NEGATIVE:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         sched = self.dem_min_duration + self.msm_min_duration
         if sched >= self.timeslice:
             raise ValueError(
@@ -113,8 +106,6 @@ class BcsConfig:
             )
         if not 0.0 < self.p2p_budget_fraction <= 1.0:
             raise ValueError("p2p_budget_fraction must be in (0, 1]")
-        if self.nm_compute_tax < 0:
-            raise ValueError("nm_compute_tax must be >= 0")
 
     @property
     def scheduling_duration(self) -> int:

@@ -251,7 +251,7 @@ class DescriptorPools:
     Steady-state slices churn through Send/Recv/Collective descriptors
     and :class:`BcsRequest` handles at a rate proportional to message
     count; pooling them makes those slices allocate near zero (the
-    batched slice engine, ``BcsConfig.batched_matching``).
+    fast path; ``BcsConfig(reference=True)`` never recycles).
 
     Safety rules:
 

@@ -42,8 +42,8 @@ class NodeArena:
     - ``mphase_done``: the strobe protocol's per-node microphase
       completion counters.  Registered as an array-backed slot in the
       :class:`~repro.core.global_memory.GlobalAddressSpace`, so the
-      Strobe Receivers' per-node ``gas.write`` (oracle path) and the
-      Strobe Sender's batched increment (aggregated path) update the
+      Strobe Receivers' per-node ``gas.write`` (reference path) and the
+      Strobe Sender's batched increment (fast path) update the
       same storage and every ``gas.read`` sees it transparently.
     - ``active``: which nodes host at least one rank of any job; the
       strobe multicast's destination set and the lazy materializer's

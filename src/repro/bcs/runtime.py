@@ -58,6 +58,11 @@ def _coll_pending(nrt) -> bool:
     return nrt.pending_epochs > 0
 
 
+#: Collective kinds the BBM and RM microphases execute.
+_BBM_KINDS = ("barrier", "bcast")
+_RM_KINDS = ("reduce", "allreduce")
+
+
 class HookList:
     """Slice-boundary hook registry with mutation-safe firing.
 
@@ -165,10 +170,10 @@ class NodeAgents:
 class NodeTable:
     """Lazy list-like table of :class:`NodeRuntime` flyweights.
 
-    Used in aggregated-strobe mode: indexing materializes the node's
-    runtime on first access, so only nodes that host ranks or receive
-    traffic ever exist as Python objects.  Iteration materializes every
-    node — full-scan oracles and whole-machine sweeps stay correct (a
+    Used on the fast path: indexing materializes the node's runtime on
+    first access, so only nodes that host ranks or receive traffic ever
+    exist as Python objects.  Iteration materializes every node — the
+    ``*_scan`` twins and whole-machine sweeps stay correct (a
     just-materialized idle node contributes exactly what an eagerly
     built idle node would: nothing).  Materialization creates no
     simulation events, so it can never perturb virtual time.
@@ -336,22 +341,21 @@ class BcsRuntime:
         self.core = BcsCore(cluster)
         self.scheduler = SliceScheduler(self.config, cluster.spec.model.link_bandwidth)
 
-        #: Answer per-slice queries from incremental sets (config flag).
-        self._incremental = self.config.incremental_active_sets
-        #: Aggregated strobe + lazy arena node representation (config
-        #: flag); False selects the eager per-destination oracle path.
-        self._aggregated = self.config.aggregated_strobe
-        #: Free-list pools for descriptors/requests (the batched slice
-        #: engine's allocation leg; recycling only happens with
-        #: ``config.batched_matching`` — acquire falls through to plain
-        #: construction when the pools are empty).
+        #: ``config.reference``: answer per-slice queries by scanning
+        #: every node runtime, built eagerly, instead of from the
+        #: incremental active-node sets and lazy node tables.
+        self._reference = self.config.reference
+        #: Free-list pools for descriptors/requests (the fast path's
+        #: allocation leg; the reference path never recycles — acquire
+        #: falls through to plain construction when the pools are
+        #: empty).
         self.pools = DescriptorPools()
         #: Machine-wide matcher aggregates, shared by every node matcher.
         self.matcher_totals = MatcherTotals()
         # Incrementally maintained active-node id sets (see the module-
-        # level retention predicates).  Maintained unconditionally — the
-        # bookkeeping is O(1) per mutation — so the scan and incremental
-        # query paths can be flipped per run and compared differentially.
+        # level retention predicates).  Maintained on both paths — the
+        # bookkeeping is O(1) per mutation — so a fast runtime can pin
+        # every query against its ``*_scan`` twin.
         self._dem_set: set = set()
         self._arrived_set: set = set()
         self._coll_set: set = set()
@@ -364,17 +368,16 @@ class BcsRuntime:
         self.slice_start_time = 0
 
         #: SoA arena for per-node scalars; the ``mphase_done`` counters
-        #: are array-backed GAS slots, so the oracle path's per-node
-        #: ``gas.write`` and the aggregated path's batched increment
-        #: update identical storage.
+        #: are array-backed GAS slots, so the reference path's per-node
+        #: ``gas.write`` and the fast path's batched increment update
+        #: identical storage.
         self.arena = NodeArena(len(cluster.nodes))
         self.core.gas.register_array("mphase_done", self.arena.mphase_done)
 
-        n_compute = cluster.n_compute_nodes
-        if self._aggregated:
+        if not self._reference:
             # Flyweight node machinery: materialized per node on first
             # touch (launch() pre-materializes a job's nodes).
-            self.node_runtimes = NodeTable(self, n_compute)
+            self.node_runtimes = NodeTable(self, cluster.n_compute_nodes)
             self.agents = _AgentMap(self)
             self.receivers = _ReceiverMap(self)
         else:
@@ -493,17 +496,16 @@ class BcsRuntime:
         self.active_node_ids = sorted(
             set(self.active_node_ids) | set(job.nodes)
         )
-        if self._aggregated:
-            # Materialize the per-node machinery (NodeRuntime + Strobe
-            # Receiver) for every node the job touches, in ascending id
-            # order, *before* the strobe loop and the rank processes
-            # start.  A fresh receiver's init event is inert — it blocks
-            # on an empty inbox, exactly like an eagerly built receiver
-            # that has been idle — so launch-time materialization keeps
-            # the event sequence, and therefore virtual time, identical
-            # to the eager oracle.
-            for node_id in job.nodes:
-                self.receivers[node_id]
+        # Materialize the per-node machinery (NodeRuntime + Strobe
+        # Receiver) for every node the job touches, in ascending id
+        # order, *before* the strobe loop and the rank processes start.
+        # A fresh receiver's init event is inert — it blocks on an empty
+        # inbox, exactly like an eagerly built receiver that has been
+        # idle — so launch-time materialization keeps the event
+        # sequence, and therefore virtual time, identical to the eager
+        # reference tables (where the lookup is a no-op).
+        for node_id in job.nodes:
+            self.receivers[node_id]
         self.stopped = False
         self.ss.start()
 
@@ -660,12 +662,11 @@ class BcsRuntime:
     # -- slice coordination hooks (called by the Strobe Sender) -------------------------
     #
     # Every query below has two implementations returning identical
-    # results: the incremental one reads the lazily pruned active-node
-    # sets (O(members) per slice), the ``*_scan`` one recomputes from
-    # every node runtime (O(cluster) per slice).  The scan path is the
-    # reference oracle — selectable with
-    # ``BcsConfig(incremental_active_sets=False)`` and pinned against the
-    # incremental path by ``tests/bcs/test_active_sets.py``.
+    # results: the fast one reads the lazily pruned active-node sets
+    # (O(members) per slice), the ``*_scan`` twin recomputes from every
+    # node runtime (O(cluster) per slice).  The reference path
+    # (``BcsConfig(reference=True)``) answers with the twins; the fast
+    # path is pinned against them by ``tests/bcs/test_active_sets.py``.
 
     def _prune_live(self, node_set: set, pred) -> bool:
         """Evict stale members of ``node_set``; True if any remain.
@@ -694,18 +695,16 @@ class BcsRuntime:
 
     def any_work(self) -> bool:
         """Anything at all for this slice's microphases?"""
-        if self.scheduler.in_flight:
-            return True
-        if self._incremental:
-            return (
-                self._prune_live(self._dem_set, _dem_pending)
-                or self._prune_live(self._arrived_set, _arrived_pending)
-                or self._prune_live(self._coll_set, _coll_pending)
-            )
-        return any(nrt.has_work() for nrt in self.node_runtimes)
+        if self._reference:
+            return self.any_work_scan()
+        return bool(self.scheduler.in_flight) or (
+            self._prune_live(self._dem_set, _dem_pending)
+            or self._prune_live(self._arrived_set, _arrived_pending)
+            or self._prune_live(self._coll_set, _coll_pending)
+        )
 
     def any_work_scan(self) -> bool:
-        """Full-scan oracle for :meth:`any_work`."""
+        """Full-scan twin of :meth:`any_work`."""
         return bool(self.scheduler.in_flight) or any(
             nrt.has_work() for nrt in self.node_runtimes
         )
@@ -718,33 +717,25 @@ class BcsRuntime:
         pruning it once for ``any_work`` and again for ``dem_nodes``.
         Results are identical to calling the two queries in sequence.
         """
+        if self._reference:
+            return self.any_work_scan(), self.dem_nodes_scan()
         dem = self.dem_nodes()
         if dem or self.scheduler.in_flight:
             return True, dem
-        if self._incremental:
-            active = self._prune_live(
-                self._arrived_set, _arrived_pending
-            ) or self._prune_live(self._coll_set, _coll_pending)
-        else:
-            active = any(
-                nrt.arrived_sends or nrt.pending_epochs
-                for nrt in self.node_runtimes
-            )
+        active = self._prune_live(
+            self._arrived_set, _arrived_pending
+        ) or self._prune_live(self._coll_set, _coll_pending)
         return active, dem
 
     def dem_nodes(self) -> List[int]:
         """Nodes with descriptors to drain/exchange."""
-        if self._incremental:
-            return self._live_sorted(self._dem_set, _dem_pending)
-        return self.dem_nodes_scan()
+        if self._reference:
+            return self.dem_nodes_scan()
+        return self._live_sorted(self._dem_set, _dem_pending)
 
     def dem_nodes_scan(self) -> List[int]:
-        """Full-scan oracle for :meth:`dem_nodes`."""
-        return [
-            nrt.node_id
-            for nrt in self.node_runtimes
-            if nrt.posted_sends or nrt.posted_recvs or nrt.posted_colls
-        ]
+        """Full-scan twin of :meth:`dem_nodes`."""
+        return [nrt.node_id for nrt in self.node_runtimes if _dem_pending(nrt)]
 
     def _msm_schedulable(self, nrt) -> bool:
         """Does ``nrt`` host a root with an epoch ready to CaW-schedule?"""
@@ -760,7 +751,7 @@ class BcsRuntime:
 
     def msm_nodes(self) -> List[int]:
         """Nodes with arrived sends to match or collectives to schedule."""
-        if not self._incremental:
+        if self._reference:
             return self.msm_nodes_scan()
         self._prune_live(self._arrived_set, _arrived_pending)
         out = set(self._arrived_set)
@@ -772,15 +763,12 @@ class BcsRuntime:
         return sorted(out)
 
     def msm_nodes_scan(self) -> List[int]:
-        """Full-scan oracle for :meth:`msm_nodes`."""
-        out = []
-        for nrt in self.node_runtimes:
-            if nrt.arrived_sends:
-                out.append(nrt.node_id)
-                continue
-            if self._msm_schedulable(nrt):
-                out.append(nrt.node_id)
-        return out
+        """Full-scan twin of :meth:`msm_nodes`."""
+        return [
+            nrt.node_id
+            for nrt in self.node_runtimes
+            if nrt.arrived_sends or self._msm_schedulable(nrt)
+        ]
 
     def _node_has_scheduled(self, nrt, kinds: tuple, driver_only: bool) -> bool:
         for (job_id, comm_id), epochs in nrt.coll_state.items():
@@ -800,46 +788,47 @@ class BcsRuntime:
                     return True
         return False
 
-    def _nodes_with_scheduled(self, kinds: tuple, driver_only: bool) -> List[int]:
+    def _nodes_with_scheduled(self, kinds: tuple, driver_only: bool, scan: bool) -> List[int]:
         rts = self.node_runtimes
-        if self._incremental:
-            if not self._prune_live(self._coll_set, _coll_pending):
-                return []
-            out = [
-                node_id
-                for node_id in self._coll_set
-                if self._node_has_scheduled(rts[node_id], kinds, driver_only)
-            ]
-            out.sort()
-            return out
+        if scan:
+            candidates = range(len(rts))
+        elif self._prune_live(self._coll_set, _coll_pending):
+            candidates = sorted(self._coll_set)
+        else:
+            return []
         return [
             node_id
-            for node_id in range(len(rts))
+            for node_id in candidates
             if self._node_has_scheduled(rts[node_id], kinds, driver_only)
         ]
 
     def bbm_nodes(self) -> List[int]:
         """Nodes driving a scheduled barrier/broadcast this slice."""
-        return self._nodes_with_scheduled(("barrier", "bcast"), driver_only=True)
+        return self._nodes_with_scheduled(_BBM_KINDS, True, self._reference)
+
+    def bbm_nodes_scan(self) -> List[int]:
+        """Full-scan twin of :meth:`bbm_nodes`."""
+        return self._nodes_with_scheduled(_BBM_KINDS, True, True)
 
     def rm_nodes(self) -> List[int]:
         """Nodes participating in a scheduled reduce this slice."""
-        return self._nodes_with_scheduled(("reduce", "allreduce"), driver_only=False)
+        return self._nodes_with_scheduled(_RM_KINDS, False, self._reference)
+
+    def rm_nodes_scan(self) -> List[int]:
+        """Full-scan twin of :meth:`rm_nodes`."""
+        return self._nodes_with_scheduled(_RM_KINDS, False, True)
 
     def global_schedule(self):
         """Collect MSM matches and grant this slice's chunks."""
         rts = self.node_runtimes
-        if self._incremental:
-            for node_id in sorted(self._match_set):
-                nrt = rts[node_id]
-                if nrt.new_matches:
-                    self.scheduler.add_matches(nrt.new_matches)
-                    nrt.new_matches = []
+        if self._reference:
+            sources = rts
         else:
-            for nrt in rts:
-                if nrt.new_matches:
-                    self.scheduler.add_matches(nrt.new_matches)
-                    nrt.new_matches = []
+            sources = [rts[node_id] for node_id in sorted(self._match_set)]
+        for nrt in sources:
+            if nrt.new_matches:
+                self.scheduler.add_matches(nrt.new_matches)
+                nrt.new_matches = []
         self._match_set.clear()
         return self.scheduler.schedule_slice()
 
@@ -847,9 +836,9 @@ class BcsRuntime:
 
     def queue_depths(self) -> tuple:
         """Machine totals ``(posted_sends, posted_recvs, posted_colls,
-        arrived_sends)`` — O(active nodes) on the incremental path."""
+        arrived_sends)`` — O(active nodes) on the fast path."""
         rts = self.node_runtimes
-        if self._incremental:
+        if not self._reference:
             sends = recvs = colls = 0
             for node_id in self._live_sorted(self._dem_set, _dem_pending):
                 nrt = rts[node_id]
@@ -872,10 +861,10 @@ class BcsRuntime:
     def matcher_pending_totals(self) -> tuple:
         """Machine totals ``(unexpected sends, posted receives)``.
 
-        O(1) on the incremental path (the shared aggregate); the scan
+        O(1) on the fast path (the shared aggregate); the reference
         path polls every node's matcher, as telemetry originally did.
         """
-        if self._incremental:
+        if not self._reference:
             totals = self.matcher_totals
             return totals.unexpected, totals.posted
         unexpected = posted = 0

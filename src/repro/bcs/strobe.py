@@ -65,7 +65,7 @@ class StrobeReceiver:
 
     def _run(self):
         nrt = self.nrt
-        aggregated = nrt.config.aggregated_strobe
+        reference = nrt.config.reference
         agents = nrt.runtime.agents[nrt.node_id]
         handlers = {
             DEM: lambda s: self._dem(agents),
@@ -83,11 +83,11 @@ class StrobeReceiver:
             yield from handlers[strobe.phase](strobe)
             self.completed_phases += 1
             # Report completion in global memory; the SS's
-            # Compare-And-Write tests this counter.  In aggregated mode
+            # Compare-And-Write tests this counter.  On the fast path
             # the SS performs one batched arena increment for the whole
             # participant set instead of this per-node write — the
             # array-backed slot ends up with the identical value.
-            if not aggregated:
+            if reference:
                 nrt.runtime.core.gas.write(
                     nrt.node_id, "mphase_done", self.completed_phases
                 )
@@ -120,17 +120,16 @@ class StrobeSender:
         self._strobe = Strobe("", 0, None, self._latch)
         self._pad = ReusableTimeout(self.env)
         self._sleep = ReusableTimeout(self.env)
-        # Batched scheduling and transmission phases (part of
-        # ``config.batched_matching``): a DEM, MSM or P2P microphase whose
-        # guards hold is solved in one pass and replayed with one
-        # reusable timeout per distinct instant.
-        self._batched = runtime.config.batched_matching
+        #: ``config.reference``: walk every slice and every node, strobe
+        #: per destination and run every microphase on the per-node
+        #: threads.  The fast path instead solves a DEM, MSM or P2P
+        #: microphase whose guards hold in one pass, replayed with one
+        #: reusable timeout per distinct instant, and charges the
+        #: microstrobe as one tree-shaped multicast whose duration is
+        #: cached per active-set size — no per-strobe generator, no
+        #: per-destination walk.
+        self._reference = runtime.config.reference
         self._step_at = ReusableTimeout(self.env)
-        # Aggregated strobe model (``config.aggregated_strobe``): the
-        # microstrobe is one tree-shaped multicast event whose duration
-        # is cached per active-set size, charged through a reusable
-        # timeout — no per-strobe generator, no per-destination walk.
-        self._aggregated = runtime.config.aggregated_strobe
         self._strobe_timeout = ReusableTimeout(self.env)
         self._strobe_n = -1
         self._strobe_latency = 0
@@ -155,8 +154,7 @@ class StrobeSender:
         mins = {DEM: cfg.dem_min_duration, MSM: cfg.msm_min_duration}
         node_runtimes = runtime.node_runtimes
         hooks = runtime.on_slice_start
-        fast_forward = cfg.idle_fast_forward
-        incremental = runtime._incremental
+        reference = self._reference
         slice_waiters = runtime._slice_waiters
 
         while not runtime.stopped:
@@ -169,16 +167,15 @@ class StrobeSender:
             # Slice boundary: the NM restarts processes whose blocking
             # operations completed during the previous slice.  Only
             # signals with waiters are pulsed (ascending node id — the
-            # historical wake order); the scan mode pulses every node,
-            # preserving the original full-broadcast loop as reference.
-            if incremental:
-                if slice_waiters:
-                    for node_id in sorted(slice_waiters):
-                        node_runtimes[node_id].slice_start.pulse(runtime.slice_no)
-                    slice_waiters.clear()
-            else:
+            # historical wake order); the reference path pulses every
+            # node, the original full-broadcast loop.
+            if reference:
                 for nrt in node_runtimes:
                     nrt.slice_start.pulse(runtime.slice_no)
+                slice_waiters.clear()
+            elif slice_waiters:
+                for node_id in sorted(slice_waiters):
+                    node_runtimes[node_id].slice_start.pulse(runtime.slice_no)
                 slice_waiters.clear()
 
             # Idle short-circuit: settle ``active`` before any telemetry
@@ -203,7 +200,7 @@ class StrobeSender:
                     P2P, sorted(granted.by_dst), 0, payload=granted
                 )
                 retired = runtime.scheduler.retire_finished()
-                if retired and cfg.batched_matching:
+                if retired and not reference:
                     # A retired match was the last holder of its pair of
                     # descriptors (requests are completed at delivery and
                     # owned by the application): recycle them.
@@ -216,7 +213,7 @@ class StrobeSender:
 
             elapsed = env.now - start
             if elapsed < timeslice:
-                if fast_forward and not active and not hooks:
+                if not (reference or active or hooks):
                     if cfg.auto_stop and runtime.idle():
                         # The loop exits after this slice anyway.
                         pass
@@ -278,9 +275,16 @@ class StrobeSender:
         # Microstrobe: Xfer-And-Signal to every compute node's SR.  The
         # active-node list is kept sorted and deduplicated by the
         # runtime, so its length is passed straight through.
-        if self._aggregated:
+        if self._reference:
+            yield from runtime.cluster.fabric.control_multicast(
+                mgmt,
+                runtime.active_node_ids,
+                runtime.config.strobe_bytes,
+                n_dests=len(runtime.active_node_ids),
+            )
+        else:
             # One aggregated tree multicast: identical duration to the
-            # oracle's control_multicast (both are strobe_latency(n)),
+            # reference's control_multicast (both are strobe_latency(n)),
             # but the duration is cached until the active set changes
             # size and the timeout object is re-armed in place.
             n_active = len(runtime.active_node_ids)
@@ -291,17 +295,10 @@ class StrobeSender:
                         runtime.config.strobe_bytes, n_active
                     )
                 yield self._strobe_timeout.rearm(self._strobe_latency)
-        else:
-            yield from runtime.cluster.fabric.control_multicast(
-                mgmt,
-                runtime.active_node_ids,
-                runtime.config.strobe_bytes,
-                n_dests=len(runtime.active_node_ids),
-            )
 
         if nodes:
             plan = None
-            counters = _KERNEL_STATS.get(phase) if self._batched else None
+            counters = None if self._reference else _KERNEL_STATS.get(phase)
             if counters is not None:
                 if phase == P2P:
                     plan = solve_transmission(runtime, payload)
@@ -314,12 +311,12 @@ class StrobeSender:
                 yield from self._replay(plan, nodes)
             else:
                 yield from self._dispatch(phase, nodes, payload)
-            if self._aggregated:
+            if not self._reference:
                 # Batched completion report: every participant finished
                 # exactly one microphase, so one arena-wide increment
                 # replaces the per-node ``gas.write`` loop the receivers
-                # perform on the oracle path (same counters, same values
-                # at the Compare-And-Write below).
+                # perform on the reference path (same counters, same
+                # values at the Compare-And-Write below).
                 runtime.core.gas.increment_batch(nodes, "mphase_done")
             # SS verifies global completion with a Compare-And-Write on
             # the per-node microphase counters.
@@ -376,7 +373,8 @@ class StrobeSender:
         completion times and wake-ups are unchanged; steps a step
         discovers (a Buffer Receiver's next hold) join the same heap.
         When the last step is done — and not before ``plan.end`` —
-        every participant reports the microphase done, as its SR would.
+        every participant counts the microphase done, as its SR would
+        (the caller's batched increment publishes it to global memory).
         A DEM/MSM plan leaves its Buffer Receiver instants in
         ``runtime.br_window`` for the rank-side probe/cancel check.
         """
@@ -395,9 +393,5 @@ class StrobeSender:
         if env.now < plan.end:
             yield self._step_at.rearm(plan.end - env.now)
         receivers = runtime.receivers
-        gas = runtime.core.gas
         for node_id in nodes:
-            sr = receivers[node_id]
-            sr.completed_phases += 1
-            if not self._aggregated:
-                gas.write(node_id, "mphase_done", sr.completed_phases)
+            receivers[node_id].completed_phases += 1

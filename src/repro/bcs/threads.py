@@ -38,7 +38,7 @@ from .descriptors import (
     SendDescriptor,
     payload_nbytes,
 )
-from .matching import make_matcher
+from .matching import HashMatcher, LinearMatcher
 from .scheduler import Grants
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -151,12 +151,12 @@ class NodeRuntime:
         self.nic = self.node.nic
         self.config: BcsConfig = runtime.config
         self.env = runtime.env
-        # Lazily materialized nodes (aggregated-strobe mode) can be
-        # created after observability was attached; inherit the hub and
+        # Lazily materialized nodes (the fast path) can be created
+        # after observability was attached; inherit the hub and
         # register this node's trace tracks so the fresh NIC reports
-        # occupancy spans like its eager peers.  (During eager
-        # construction the runtime has no ``obs`` yet — binding covers
-        # those nodes.)
+        # occupancy spans like its eager peers.  (During the reference
+        # path's eager construction the runtime has no ``obs`` yet —
+        # binding covers those nodes.)
         obs = getattr(runtime, "obs", None)
         if obs is not None:
             self.nic.obs = obs
@@ -181,9 +181,8 @@ class NodeRuntime:
         self._coll_set = runtime._coll_set
 
         # BR state.
-        self.matcher = make_matcher(
-            self.config.matcher, node_id, runtime.matcher_totals
-        )
+        matcher = LinearMatcher if self.config.reference else HashMatcher
+        self.matcher = matcher(node_id, runtime.matcher_totals)
         #: Send descriptors delivered by remote BS threads this slice.
         self.arrived_sends: List[SendDescriptor] = []
         #: Matches created in the current MSM (collected by the runtime).
@@ -303,7 +302,7 @@ class NodeRuntime:
         obs = self.runtime.obs
         if obs is not None and obs.spans is not None:
             obs.spans.coll_completed(job_id, comm_id, epoch)
-        if self.config.batched_matching:
+        if not self.config.reference:
             # The epoch record was the last holder of these descriptors.
             pools = self.runtime.pools
             for desc in ep.descs:
@@ -352,17 +351,17 @@ class BufferReceiver:
     def dem_phase(self):
         """Pre-process local receive and collective descriptors.
 
-        With ``BcsConfig.batched_matching`` the slice's descriptors are
-        processed as one batch: a single NIC hold covers the whole run
+        On the fast path the slice's descriptors are processed as one
+        batch: a single NIC hold covers the whole run
         (the thread processor is uncontended during the BR's turn, so
         ``n`` sequential holds and one hold of ``n × cost`` end at the
         same instant) and the matcher consumes the receives through its
         vectorized batch API.  The per-descriptor loop below is the
-        differential oracle.
+        reference path.
         """
         nrt = self.nrt
         cost = nrt.config.nic_descriptor_cost
-        if nrt.config.batched_matching:
+        if not nrt.config.reference:
             recvs = nrt._drain_posted(nrt.posted_recvs)
             if recvs:
                 yield from nrt.nic.compute_batch(cost, len(recvs))
@@ -414,7 +413,7 @@ class BufferReceiver:
 
         arrived, nrt.arrived_sends = nrt.arrived_sends, []
         if arrived:
-            if nrt.config.batched_matching:
+            if not nrt.config.reference:
                 # Batched leg: one NIC hold, one vectorized matcher join.
                 yield from nrt.nic.compute_batch(
                     nrt.config.nic_descriptor_cost, len(arrived)

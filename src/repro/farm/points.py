@@ -264,30 +264,10 @@ def _expand_ext_noise(
 # --- scaling study (simulator throughput; rows carry wall-clock fields) ------
 
 
-def _expand_scaling1024(
-    node_counts: Sequence[int] = (128, 256, 512, 1024),
+def _expand_scaling(
+    node_counts: Sequence[int] = (1024, 4096, 16384, 65536),
     networks: Sequence[str] = S.SCALING_NETWORKS,
-    active_ranks: int = 8,
-    iterations: int = 60,
-    granularity_us: float = 400.0,
-) -> List[dict]:
-    return [
-        dict(
-            network=m,
-            n_nodes=n,
-            active_ranks=active_ranks,
-            iterations=iterations,
-            granularity_us=granularity_us,
-        )
-        for m in networks
-        for n in node_counts
-    ]
-
-
-def _expand_scaling16k(
-    node_counts: Sequence[int] = (2048, 4096, 8192, 16384),
-    networks: Sequence[str] = S.SCALING_NETWORKS,
-    active_ranks: int = 32,
+    rank_counts: Sequence[int] = (8, 32),
     iterations: int = 30,
     granularity_us: float = 400.0,
     message_kib: int = 4,
@@ -296,35 +276,14 @@ def _expand_scaling16k(
         dict(
             network=m,
             n_nodes=n,
-            active_ranks=active_ranks,
+            active_ranks=r,
             iterations=iterations,
             granularity_us=granularity_us,
             message_kib=message_kib,
         )
         for m in networks
         for n in node_counts
-    ]
-
-
-def _expand_scaling64k(
-    node_counts: Sequence[int] = (2048, 8192, 16384, 65536),
-    networks: Sequence[str] = S.SCALING_NETWORKS,
-    active_ranks: int = 32,
-    iterations: int = 30,
-    granularity_us: float = 400.0,
-    message_kib: int = 4,
-) -> List[dict]:
-    return [
-        dict(
-            network=m,
-            n_nodes=n,
-            active_ranks=active_ranks,
-            iterations=iterations,
-            granularity_us=granularity_us,
-            message_kib=message_kib,
-        )
-        for m in networks
-        for n in node_counts
+        for r in rank_counts
     ]
 
 
@@ -398,8 +357,8 @@ EXTENSION_FAMILIES: Tuple[str, ...] = ("ext_ft", "ext_pfs_qos", "ext_noise")
 #: Simulator-throughput studies.  Their rows include *host wall-clock*
 #: fields (slices/sec, speedup), so they are deliberately outside the
 #: deterministic figure set and never part of ``repro farm figures``
-#: defaults; run them by name (``repro farm figures scaling1024``).
-SCALING_FAMILIES: Tuple[str, ...] = ("scaling1024", "scaling16k", "scaling64k")
+#: defaults; run them by name (``repro farm figures scaling``).
+SCALING_FAMILIES: Tuple[str, ...] = ("scaling",)
 
 #: Analysis families: deterministic derived metrics over instrumented
 #: runs (critical-path blame composition).  Not in the default figure
@@ -509,25 +468,11 @@ FAMILIES: Dict[str, Family] = {
             smoke=dict(n_ranks=8, iterations=8),
         ),
         Family(
-            "scaling1024",
-            "Scaling: strobe hot path, 128-1024 nodes, fat tree vs 3D torus",
-            _expand_scaling1024,
+            "scaling",
+            "Scaling: fast path vs reference, 1k-64k nodes, fat tree vs 3D torus",
+            _expand_scaling,
             S.scaling_point,
-            smoke=dict(node_counts=(128,), iterations=12),
-        ),
-        Family(
-            "scaling16k",
-            "Scaling: batched slice engine, 2k-16k nodes, fat tree vs 3D torus",
-            _expand_scaling16k,
-            S.scaling16k_point,
-            smoke=dict(node_counts=(2048,), iterations=12),
-        ),
-        Family(
-            "scaling64k",
-            "Scaling: aggregated strobe + arena state, 2k-64k nodes",
-            _expand_scaling64k,
-            S.scaling64k_point,
-            smoke=dict(node_counts=(4096,), iterations=12),
+            smoke=dict(node_counts=(128, 4096), rank_counts=(32,), iterations=12),
             trend_columns=(
                 "speedup",
                 "slices_per_sec",

@@ -350,8 +350,8 @@ class Fabric:
         deduplicated active-node list) pass ``n_dests`` so the five
         microstrobes per slice don't rebuild a set each time.
 
-        This generator is the aggregated strobe model's *oracle* path
-        (``BcsConfig.aggregated_strobe=False``); the aggregated path
+        This generator is the reference path's strobe
+        (``BcsConfig(reference=True)``); the fast path
         charges the identical duration via :meth:`strobe_latency` with a
         reusable timeout, skipping the generator machinery per strobe.
         """

@@ -145,7 +145,8 @@ class Nic:
         calls — the thread processor is held for exactly
         ``n * duration`` ns — but the simulator pays for one hold instead
         of ``n`` event/heap round-trips.  This is the batched slice
-        engine's NIC leg (``BcsConfig.batched_matching``).
+        engine's NIC leg (the fast path; ``BcsConfig(reference=True)``
+        holds once per descriptor).
 
         Once granted, a hold occupies the processor contiguously, so the
         per-operation telemetry windows are synthesized by slicing the

@@ -102,7 +102,7 @@ class Observability:
         self.mgmt_pid = runtime.cluster.management_node.id
         runtime.scheduler.obs = self
         # Materialized nodes get the hub here; lazily materialized ones
-        # (aggregated-strobe mode) inherit it at construction from
+        # (the fast path) inherit it at construction from
         # ``runtime.obs`` — binding never forces a 64k table into being.
         for nrt in existing_node_runtimes(runtime.node_runtimes):
             nrt.nic.obs = self
@@ -121,7 +121,7 @@ class Observability:
 
         Called from :meth:`bind` for already-materialized nodes and from
         ``NodeRuntime`` construction for nodes materialized later (the
-        aggregated-strobe lazy path), so every node that ever does
+        fast path's lazy table), so every node that ever does
         anything gets named tracks regardless of when it came into being.
         """
         if self.perfetto is not None:
@@ -197,7 +197,7 @@ class Observability:
         slice count, zero utilization.  The sums are sampled once and the
         per-slice records emitted in exactly the order the non-skipping
         loop would have, keeping metric and trace output independent of
-        the ``idle_fast_forward`` setting.
+        whether the slices were skipped.
         """
         if count <= 0:
             return

@@ -1,15 +1,14 @@
-"""Differential tests for the aggregated strobe + arena node state (ISSUE 10).
+"""Differential tests for the aggregated strobe + arena node state.
 
-The aggregated strobe model replaces the Strobe Sender's
+The fast path's aggregated strobe replaces the Strobe Sender's
 per-destination control-multicast bookkeeping with one cached
 tree-latency timeout per microphase, and the arena hoists per-node
 scalars (the ``mphase_done`` GAS slots, activity flags) into flat
-arrays updated by batched writes.  Neither change may move a single
-event: virtual time, slice counts, and every per-node GAS value must
-be byte-identical to the per-destination oracle
-(``aggregated_strobe=False``), across both matching engines, and the
-lazy flyweight node directory must stay unmaterialized for nodes a
-job never touches.
+arrays updated by batched writes.  Neither may move a single event:
+virtual time, slice counts, and every per-node GAS value must be
+byte-identical to the reference path (``BcsConfig(reference=True)``),
+and the lazy flyweight node directory must stay unmaterialized for
+nodes a job never touches.
 """
 
 import numpy as np
@@ -21,6 +20,7 @@ from repro.bcs.node_manager import NodeArena
 from repro.core.global_memory import GlobalAddressSpace
 from repro.harness.runner import run_workload
 from repro.network import Cluster, ClusterSpec
+from repro.obs import Observability
 from repro.sim import Engine
 from repro.storm import JobSpec
 from repro.units import ms, seconds, us
@@ -49,28 +49,23 @@ def _wildcard_app(ctx, iterations=4):
 )
 def test_virtual_time_identity_aggregated_vs_oracle(app):
     results = {}
-    for aggregated in (True, False):
-        cfg = BcsConfig(init_cost=0, aggregated_strobe=aggregated)
+    for reference in (False, True):
+        cfg = BcsConfig(init_cost=0, reference=reference)
         r = run_workload(app, 8, "bcs", bcs_config=cfg)
-        results[aggregated] = (r.runtime_ns, r.stats.get("slices"))
-    assert results[True] == results[False]
+        results[reference] = (r.runtime_ns, r.stats.get("slices"))
+    assert results[False] == results[True]
 
 
-@pytest.mark.parametrize("batched", [True, False])
-@pytest.mark.parametrize("aggregated", [True, False])
-def test_identity_holds_across_matching_engine_matrix(aggregated, batched):
-    """The two oracle flags compose: all four stacks agree on time."""
-    cfg = BcsConfig(
-        init_cost=0, aggregated_strobe=aggregated, batched_matching=batched
-    )
-    r = run_workload(nearest_neighbor_benchmark, 8, "bcs", bcs_config=cfg)
+@pytest.mark.parametrize("observed", [True, False])
+@pytest.mark.parametrize("reference", [True, False])
+def test_identity_holds_across_matching_engine_matrix(reference, observed):
+    """Engine x telemetry: either engine, with or without an attached
+    Observability hub, agrees on time with the bare fast path."""
+    cfg = BcsConfig(init_cost=0, reference=reference)
+    obs = Observability() if observed else None
+    r = run_workload(nearest_neighbor_benchmark, 8, "bcs", bcs_config=cfg, obs=obs)
     ref = run_workload(
-        nearest_neighbor_benchmark,
-        8,
-        "bcs",
-        bcs_config=BcsConfig(
-            init_cost=0, aggregated_strobe=False, batched_matching=False
-        ),
+        nearest_neighbor_benchmark, 8, "bcs", bcs_config=BcsConfig(init_cost=0)
     )
     assert (r.runtime_ns, r.stats.get("slices")) == (
         ref.runtime_ns,
@@ -78,11 +73,9 @@ def test_identity_holds_across_matching_engine_matrix(aggregated, batched):
     )
 
 
-def _run_runtime(aggregated, n_nodes=8, n_ranks=16):
-    cluster = Cluster(ClusterSpec(n_nodes=n_nodes, lazy_nodes=aggregated))
-    runtime = BcsRuntime(
-        cluster, BcsConfig(init_cost=0, aggregated_strobe=aggregated)
-    )
+def _run_runtime(reference, n_nodes=8, n_ranks=16):
+    cluster = Cluster(ClusterSpec(n_nodes=n_nodes))
+    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, reference=reference))
     spec = JobSpec(
         app=barrier_benchmark,
         n_ranks=n_ranks,
@@ -94,15 +87,15 @@ def _run_runtime(aggregated, n_nodes=8, n_ranks=16):
 
 
 def test_batched_gas_increments_match_per_node_writes():
-    """``mphase_done`` must be indistinguishable from the oracle's loop.
+    """``mphase_done`` must be indistinguishable from the reference loop.
 
-    The oracle path has every Strobe Receiver ``gas.write`` its own
-    counter; the aggregated path batch-increments the arena column from
-    the Strobe Sender.  Any strobe the aggregation skipped or
-    double-counted shows up as a differing per-node value.
+    On the reference path every Strobe Receiver ``gas.write``s its own
+    counter; the fast path batch-increments the arena column from the
+    Strobe Sender.  Any strobe the aggregation skipped or double-counted
+    shows up as a differing per-node value.
     """
-    agg_rt, agg_job = _run_runtime(True)
-    orc_rt, orc_job = _run_runtime(False)
+    agg_rt, agg_job = _run_runtime(False)
+    orc_rt, orc_job = _run_runtime(True)
     assert agg_job.runtime == orc_job.runtime
     for node_id in agg_job.nodes:
         assert agg_rt.core.gas.read(node_id, "mphase_done", default=0) == (
@@ -112,7 +105,7 @@ def test_batched_gas_increments_match_per_node_writes():
 
 def test_lazy_nodes_stay_unmaterialized_on_a_big_cluster():
     """A 2-rank job on 2048 nodes must touch O(active), not O(cluster)."""
-    cluster = Cluster(ClusterSpec(n_nodes=2048, lazy_nodes=True))
+    cluster = Cluster(ClusterSpec(n_nodes=2048))
     runtime = BcsRuntime(cluster, BcsConfig(init_cost=0))
     spec = JobSpec(
         app=barrier_benchmark,
@@ -172,7 +165,7 @@ def test_gas_increment_batch_without_registered_array():
 
 
 def test_strobe_latency_matches_oracle_multicast_duration():
-    """``Fabric.strobe_latency`` must equal the oracle generator's cost."""
+    """``Fabric.strobe_latency`` must equal the reference generator's cost."""
     cluster = Cluster(ClusterSpec(n_nodes=16))
     fabric = cluster.fabric
     for n_dests in (1, 2, 7, 15):

@@ -41,6 +41,27 @@ def test_invalid_configs_rejected():
         BcsConfig(nm_compute_tax=-0.1)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        "dem_min_duration",
+        "msm_min_duration",
+        "descriptor_bytes",
+        "strobe_bytes",
+        "descriptor_post_cost",
+        "nic_descriptor_cost",
+        "nic_reduce_cost_per_element",
+        "max_chunk_bytes",
+        "init_cost",
+    ],
+)
+def test_negative_sizes_and_durations_rejected(field):
+    # A negative chunk cap used to schedule 1-byte chunks silently.
+    with pytest.raises(ValueError, match=field):
+        BcsConfig(**{field: -4096})
+    BcsConfig(**{field: 0})
+
+
 def test_with_replaces_fields():
     cfg = BcsConfig().with_(timeslice=us(250), init_cost=0)
     assert cfg.timeslice == us(250)

@@ -1,6 +1,6 @@
 """Differential suite for the batched scheduling phase.
 
-With ``BcsConfig.batched_matching`` a Descriptor Exchange or Message
+On the fast path a Descriptor Exchange or Message
 Scheduling microphase whose guards hold is not run as one Strobe
 Receiver process per node: the kernels
 (:func:`repro.bcs.threads.solve_exchange` over the chained mode of
@@ -15,7 +15,7 @@ same arrival instants, arrival order per node, matcher batch instants,
 matcher state, collective flags, counters and phase ends; then they
 check that each guard forces the per-node fallback without moving
 virtual time, and that whole runs stay identical to the reference
-engine (``batched_matching=False``).
+path (``BcsConfig(reference=True)``).
 """
 
 import pytest
@@ -57,7 +57,12 @@ GAP = 500
 
 
 def _kernel_stat(key):
-    return key.endswith(("_phases_solved", "_phases_fallback")) or "_fallback." in key
+    """Counters only the fast path keeps (see test_transmission_kernel)."""
+    return (
+        key == "idle_slices_skipped"
+        or key.endswith(("_phases_solved", "_phases_fallback"))
+        or "_fallback." in key
+    )
 
 
 def _park():
@@ -498,7 +503,7 @@ def test_cancel_on_the_instant_of_its_nodes_drain_is_refused_by_name():
     assert "node 0" in str(err.value) and f"t={T0}" in str(err.value)
 
 
-# -- end to end: batched engine vs the reference -----------------------------------
+# -- end to end: fast path vs the reference -----------------------------------------
 
 
 def _signature(runtime, jobs):
@@ -511,10 +516,10 @@ def _signature(runtime, jobs):
     )
 
 
-def _run(batched, plans, n_nodes, setup=None, obs=None, model="qsnet"):
+def _run(fast, plans, n_nodes, setup=None, obs=None, model="qsnet"):
     """Run ``plans`` (app, n_ranks, params, placement) together on one machine."""
     cluster = Cluster(ClusterSpec(n_nodes=n_nodes, model=by_name(model)))
-    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, batched_matching=batched))
+    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, reference=not fast))
     if obs is not None:
         runtime.attach_observability(obs)
     jobs = [
@@ -529,7 +534,7 @@ def _run(batched, plans, n_nodes, setup=None, obs=None, model="qsnet"):
     return runtime, _signature(runtime, jobs)
 
 
-def _assert_batched_matches_reference(plans, n_nodes, setup=None, model="qsnet"):
+def _assert_fast_matches_reference(plans, n_nodes, setup=None, model="qsnet"):
     fast, fast_sig = _run(True, plans, n_nodes, setup, model=model)
     _, ref_sig = _run(False, plans, n_nodes, setup, model=model)
     assert fast_sig == ref_sig
@@ -544,7 +549,7 @@ def _paired(nodes, n_ranks):
 def test_dense_nearest_neighbour_256_ranks(model):
     params = dict(granularity=ms(1), iterations=4, n_neighbors=4, message_bytes=kib(4))
     plans = [(nearest_neighbor_benchmark, 256, params, _paired(list(range(128)), 256))]
-    stats = _assert_batched_matches_reference(plans, 128, model=model)
+    stats = _assert_fast_matches_reference(plans, 128, model=model)
     assert stats["dem_phases_solved"] == stats["active_slices"]
     assert stats["msm_phases_solved"] == stats["active_slices"]
     assert not stats["dem_phases_fallback"] and not stats["msm_phases_fallback"]
@@ -561,7 +566,7 @@ def test_mixed_sage_sweep3d_barrier_nn():
         (nearest_neighbor_benchmark, 8, dict(granularity=ms(1), iterations=10),
          _paired(list(range(20, 24)), 8)),
     ]
-    stats = _assert_batched_matches_reference(plans, 24)
+    stats = _assert_fast_matches_reference(plans, 24)
     assert stats["dem_phases_solved"] > 0 and stats["msm_phases_solved"] > 0
     # Barrier epochs make their root issue Compare-And-Write queries.
     assert stats["sched_fallback.collective"] > 0
@@ -579,7 +584,7 @@ def test_non_rank_ticker_takes_the_fallback():
 
         cluster.env.process(tick(), name="ticker")
 
-    stats = _assert_batched_matches_reference(NN, 8, ticker)
+    stats = _assert_fast_matches_reference(NN, 8, ticker)
     assert stats["sched_fallback.foreign_event"] > 0
 
 
@@ -593,7 +598,7 @@ def test_link_hog_takes_the_fallback():
 
         cluster.env.process(stream(), name="hog")
 
-    stats = _assert_batched_matches_reference(NN, 10, hog)
+    stats = _assert_fast_matches_reference(NN, 10, hog)
     assert stats["sched_fallback.busy"] > 0
 
 
@@ -608,7 +613,7 @@ def test_pfs_traffic_takes_the_fallback():
 
         cluster.env.process(write(), name="pfs.bg")
 
-    stats = _assert_batched_matches_reference(NN, 10, writer)
+    stats = _assert_fast_matches_reference(NN, 10, writer)
     assert stats["pfs_stripes_written"] > 0
     assert stats["dem_phases_fallback"] + stats["msm_phases_fallback"] > 0
 
@@ -626,7 +631,7 @@ def test_spans_take_the_object_path_with_identical_times():
 
 
 def _dem_windows(plans, n_nodes, setup=None):
-    """``(start, predicted end)`` of every solved DEM window of a batched run."""
+    """``(start, predicted end)`` of every solved DEM window of a fast run."""
     from repro.bcs import threads
 
     windows = []
@@ -672,10 +677,10 @@ def test_job_whose_last_rank_finishes_inside_the_window():
     assert fast_sig[0][1][1] == at
     assert fast.stats["sched_fallback.job_may_finish"] > 0
 
-    def until_short_job(batched):
+    def until_short_job(fast):
         """Stop the engine on the short job's ``done``: inside the window."""
         cluster = Cluster(ClusterSpec(n_nodes=6))
-        runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, batched_matching=batched))
+        runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, reference=not fast))
         jobs = [
             runtime.launch(JobSpec(app=app, n_ranks=n, name=f"j{i}", params=params), placement)
             for i, (app, n, params, placement) in enumerate(plans)
@@ -703,9 +708,9 @@ def test_job_arrival_inside_the_window():
 
         cluster.env.process(later(), name="arrivals")
 
-    def run(batched):
+    def run(fast):
         arrived.clear()
-        runtime, sig = _run(batched, NN, 10, arrival)
+        runtime, sig = _run(fast, NN, 10, arrival)
         cluster_env = runtime.env
         cluster_env.run(until=arrived[0].done)
         late = arrived[0]
@@ -738,7 +743,7 @@ def _prober(ctx, iterations, use_cancel):
 @pytest.mark.parametrize("use_cancel", [False, True], ids=["iprobe", "cancel"])
 def test_rank_reads_of_br_state_close_later_windows(use_cancel):
     plans = [(_prober, 8, dict(iterations=6, use_cancel=use_cancel), _paired(list(range(4)), 8))]
-    stats = _assert_batched_matches_reference(plans, 4)
+    stats = _assert_fast_matches_reference(plans, 4)
     assert stats["dem_phases_solved"] > 0  # before the first read
     assert stats["sched_fallback.br_observed"] > 0  # every window after it
 

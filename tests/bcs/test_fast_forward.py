@@ -1,16 +1,19 @@
 """Idle-slice fast-forward: wall-clock only, never virtual time.
 
-Every test here runs the same workload with ``idle_fast_forward`` on and
-off and asserts that everything observable from inside the simulation —
+Every test here runs the same workload on the fast path with idle
+skipping on and off — a registered no-op slice hook turns it off — and
+asserts that everything observable from inside the simulation —
 virtual runtimes, slice counters, telemetry output — is identical.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.apps.sage import sage
 from repro.apps.synthetic import barrier_benchmark
 from repro.bcs import BcsConfig, BcsRuntime, HashMatcher, LinearMatcher
-from repro.harness.runner import run_workload
+from repro.harness.runner import nodes_for
 from repro.network import Cluster, ClusterSpec
 from repro.obs import Observability
 from repro.storm import JobSpec
@@ -22,10 +25,21 @@ WORKLOADS = {
 }
 
 
-def _run(name, fast_forward, matcher="hash", obs=None):
+def _run(name, fast_forward, reference=False, obs=None):
     app, n_ranks, params = WORKLOADS[name]
-    cfg = BcsConfig(idle_fast_forward=fast_forward, matcher=matcher)
-    return run_workload(app, n_ranks, "bcs", params=params, bcs_config=cfg, obs=obs)
+    runtime = BcsRuntime(
+        Cluster(ClusterSpec(n_nodes=nodes_for(n_ranks))),
+        BcsConfig(reference=reference),
+    )
+    if obs is not None:
+        runtime.attach_observability(obs)
+    if not fast_forward:
+        runtime.on_slice_start.append(lambda s: None)
+    job = runtime.run_job(
+        JobSpec(app=app, n_ranks=n_ranks, name=name, params=params),
+        max_time=seconds(30),
+    )
+    return SimpleNamespace(runtime_ns=job.runtime, stats=runtime.stats)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -44,9 +58,13 @@ def test_virtual_time_and_stats_identical(name):
 
 @pytest.mark.parametrize("matcher", ["hash", "linear"])
 def test_matcher_choice_preserves_virtual_time(matcher):
-    ref = _run("sage", True, matcher="hash")
-    got = _run("sage", True, matcher=matcher)
+    """The matcher comes with the path: ``hash`` is the fast path,
+    ``linear`` the reference, which never skips an idle slice."""
+    ref = _run("sage", True)
+    got = _run("sage", True, reference=matcher == "linear")
     assert got.runtime_ns == ref.runtime_ns
+    if matcher == "linear":
+        assert got.stats["idle_slices_skipped"] == 0
 
 
 def test_observability_output_identical():
@@ -97,14 +115,10 @@ def test_fast_forward_skips_only_provably_idle_slices():
 
 
 def test_config_selects_matcher_class():
+    """``reference=True`` builds ``LinearMatcher``; the default hashes."""
     cluster = Cluster(ClusterSpec(n_nodes=2))
-    runtime = BcsRuntime(cluster, BcsConfig(matcher="linear"))
+    runtime = BcsRuntime(cluster, BcsConfig(reference=True))
     assert isinstance(runtime.node_runtimes[0].matcher, LinearMatcher)
     cluster2 = Cluster(ClusterSpec(n_nodes=2))
-    runtime2 = BcsRuntime(cluster2, BcsConfig(matcher="hash"))
+    runtime2 = BcsRuntime(cluster2, BcsConfig())
     assert isinstance(runtime2.node_runtimes[0].matcher, HashMatcher)
-
-
-def test_config_rejects_unknown_matcher():
-    with pytest.raises(ValueError, match="matcher"):
-        BcsConfig(matcher="btree")

@@ -1,6 +1,6 @@
 """Differential suite for the batched transmission phase.
 
-With ``BcsConfig.batched_matching`` a P2P microphase whose window is
+On the fast path a P2P microphase whose window is
 closed is not run as one DMA Helper process per chunk: the kernel
 (:func:`repro.bcs.threads.solve_transmission` over
 :meth:`repro.network.fabric.Fabric.solve_unicasts`) computes every
@@ -10,7 +10,7 @@ on fresh engines and demand the same instants, the same delivery order,
 the same request completion times and the same counters; then they
 check that each guard condition forces the per-chunk fallback without
 moving virtual time, and that whole runs stay identical to the
-reference engine (``batched_matching=False``).
+reference path (``BcsConfig(reference=True)``).
 """
 
 import pytest
@@ -41,9 +41,14 @@ KERNEL_STATS = ("p2p_phases_solved", "p2p_phases_fallback")
 
 
 def _kernel_stat(key):
-    """Counters only the batched engine keeps: every kernel's guard-hit
-    pair (``<phase>_phases_solved/fallback``) and fallback reasons."""
-    return key.endswith(("_phases_solved", "_phases_fallback")) or "_fallback." in key
+    """Counters only the fast path keeps: idle slices it skipped, every
+    kernel's guard-hit pair (``<phase>_phases_solved/fallback``) and
+    fallback reasons."""
+    return (
+        key == "idle_slices_skipped"
+        or key.endswith(("_phases_solved", "_phases_fallback"))
+        or "_fallback." in key
+    )
 
 
 # -- kernel vs per-chunk processes on one microphase ------------------------------
@@ -253,7 +258,7 @@ def test_unicast_tracing_forces_fallback():
     assert solve_transmission(runtime, granted) is None
 
 
-# -- end to end: batched engine vs the reference -----------------------------------
+# -- end to end: fast path vs the reference -----------------------------------------
 
 
 def _signature(runtime, jobs):
@@ -266,10 +271,10 @@ def _signature(runtime, jobs):
     )
 
 
-def _run(batched, plans, n_nodes, setup=None, obs=None, model="qsnet"):
+def _run(fast, plans, n_nodes, setup=None, obs=None, model="qsnet"):
     """Run ``plans`` (app, n_ranks, params, placement) together on one machine."""
     cluster = Cluster(ClusterSpec(n_nodes=n_nodes, model=by_name(model)))
-    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, batched_matching=batched))
+    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, reference=not fast))
     if obs is not None:
         runtime.attach_observability(obs)
     if setup is not None:
@@ -284,7 +289,7 @@ def _run(batched, plans, n_nodes, setup=None, obs=None, model="qsnet"):
     return runtime, _signature(runtime, jobs)
 
 
-def _assert_batched_matches_reference(plans, n_nodes, setup=None, model="qsnet"):
+def _assert_fast_matches_reference(plans, n_nodes, setup=None, model="qsnet"):
     fast, fast_sig = _run(True, plans, n_nodes, setup, model=model)
     _, ref_sig = _run(False, plans, n_nodes, setup, model=model)
     assert fast_sig == ref_sig
@@ -299,7 +304,7 @@ def _paired(nodes, n_ranks):
 def test_dense_nearest_neighbour_256_ranks(model):
     params = dict(granularity=ms(1), iterations=4, n_neighbors=4, message_bytes=kib(4))
     plans = [(nearest_neighbor_benchmark, 256, params, _paired(list(range(128)), 256))]
-    stats = _assert_batched_matches_reference(plans, 128, model=model)
+    stats = _assert_fast_matches_reference(plans, 128, model=model)
     assert stats["p2p_phases_solved"] > 0
 
 
@@ -314,7 +319,7 @@ def test_mixed_sage_sweep3d_barrier():
         (nearest_neighbor_benchmark, 8, dict(granularity=ms(1), iterations=10),
          _paired(list(range(20, 24)), 8)),
     ]
-    stats = _assert_batched_matches_reference(plans, 24)
+    stats = _assert_fast_matches_reference(plans, 24)
     # Multi-slice sage boundaries and blocking sweeps: both paths ran.
     assert stats["p2p_phases_solved"] > 0
     assert stats["chunks_moved"] > stats["messages_delivered"]
@@ -332,7 +337,7 @@ def test_outside_timeouts_inside_windows_take_the_fallback():
 
         cluster.env.process(tick(), name="ticker")
 
-    stats = _assert_batched_matches_reference(NN, 8, ticker)
+    stats = _assert_fast_matches_reference(NN, 8, ticker)
     assert stats["p2p_phases_fallback"] > 0
 
 
@@ -346,7 +351,7 @@ def test_busy_rx_half_at_phase_start_takes_the_fallback():
 
         cluster.env.process(stream(), name="hog")
 
-    stats = _assert_batched_matches_reference(NN, 10, hog)
+    stats = _assert_fast_matches_reference(NN, 10, hog)
     assert stats["p2p_phases_fallback"] > 0
 
 
@@ -361,7 +366,7 @@ def test_system_class_pfs_traffic_takes_the_fallback():
 
         cluster.env.process(write(), name="pfs.bg")
 
-    stats = _assert_batched_matches_reference(NN, 10, writer)
+    stats = _assert_fast_matches_reference(NN, 10, writer)
     assert stats["pfs_stripes_written"] > 0
     assert stats["p2p_phases_fallback"] > 0
 

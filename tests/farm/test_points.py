@@ -41,6 +41,21 @@ EXTENSION_COUNTS = {
 }
 
 
+#: The three node-count sweeps the single ``scaling`` family replaced,
+#: as overrides of its axes: each must stay one ``scaling`` expansion.
+LEGACY_SCALING_SWEEPS = {
+    "scaling1024": dict(
+        node_counts=(128, 256, 512, 1024), rank_counts=(8,), iterations=60
+    ),
+    "scaling16k": dict(node_counts=(2048, 4096, 8192, 16384), rank_counts=(32,)),
+    "scaling64k": dict(node_counts=(2048, 8192, 16384, 65536), rank_counts=(32,)),
+}
+
+
+def _legacy_sweep(name, preset="paper"):
+    return expand_family("scaling", preset, LEGACY_SCALING_SWEEPS[name])
+
+
 def test_every_figure_family_registered():
     assert set(EXPECTED_COUNTS) == set(FIGURE_FAMILIES)
     for name in FIGURE_FAMILIES:
@@ -56,55 +71,67 @@ def test_extension_families_registered_but_not_in_figure_set():
 
 
 def test_scaling_families_registered_but_not_in_figure_set():
-    assert SCALING_FAMILIES == ("scaling1024", "scaling16k", "scaling64k")
+    assert SCALING_FAMILIES == ("scaling",)
     for name in SCALING_FAMILIES:
         assert name in FAMILIES
         assert name not in FIGURE_FAMILIES
         assert name not in EXTENSION_FAMILIES
 
 
+def test_scaling_expansion():
+    specs = expand_family("scaling", "paper")
+    # 2 networks x 4 node counts x 2 rank counts, network-major order.
+    assert len(specs) == 16
+    params = [s.params_dict for s in specs]
+    assert [p["n_nodes"] for p in params[:8]] == [
+        n for n in (1024, 4096, 16384, 65536) for _ in range(2)
+    ]
+    assert [p["active_ranks"] for p in params] == [8, 32] * 8
+    assert [p["network"] for p in params] == ["qsnet"] * 8 + ["bluegene_l_torus"] * 8
+    assert all(p["message_kib"] == 4 for p in params)
+    assert [s.index for s in specs] == list(range(16))
+    # The memory/GC trend columns ride on the row itself.
+    for column in ("speedup", "slices_per_sec", "peak_rss_mib", "gc_collections"):
+        assert column in FAMILIES["scaling"].trend_columns
+    # smoke keeps a small and a 4096-node point per network for CI.
+    smoke = [p.params_dict for p in expand_family("scaling", "smoke")]
+    assert [p["n_nodes"] for p in smoke] == [128, 4096, 128, 4096]
+    assert all(p["iterations"] == 12 and p["active_ranks"] == 32 for p in smoke)
+
+
 def test_scaling1024_expansion():
-    specs = expand_family("scaling1024", "paper")
+    specs = _legacy_sweep("scaling1024")
     # 2 networks x 4 power-of-two node counts, network-major order.
     assert len(specs) == 8
     params = [s.params_dict for s in specs]
     assert [p["n_nodes"] for p in params] == [128, 256, 512, 1024] * 2
     assert {p["network"] for p in params} == {"qsnet", "bluegene_l_torus"}
+    assert all(p["active_ranks"] == 8 and p["iterations"] == 60 for p in params)
     assert [s.index for s in specs] == list(range(8))
-    # smoke keeps only the cheap 128-node pair for CI.
-    smoke = expand_family("scaling1024", "smoke")
-    assert [p.params_dict["n_nodes"] for p in smoke] == [128, 128]
 
 
 def test_scaling16k_expansion():
-    specs = expand_family("scaling16k", "paper")
+    specs = _legacy_sweep("scaling16k")
     # 2 networks x 4 power-of-two node counts, network-major order.
     assert len(specs) == 8
     params = [s.params_dict for s in specs]
     assert [p["n_nodes"] for p in params] == [2048, 4096, 8192, 16384] * 2
     assert {p["network"] for p in params} == {"qsnet", "bluegene_l_torus"}
     assert all(p["message_kib"] == 4 for p in params)
-    # smoke keeps only the cheap 2048-node pair for CI.
-    smoke = expand_family("scaling16k", "smoke")
-    assert [p.params_dict["n_nodes"] for p in smoke] == [2048, 2048]
-    assert all(p.params_dict["iterations"] == 12 for p in smoke)
+    assert all(p["active_ranks"] == 32 and p["iterations"] == 30 for p in params)
 
 
 def test_scaling64k_expansion():
-    specs = expand_family("scaling64k", "paper")
+    specs = _legacy_sweep("scaling64k")
     # 2 networks x 4 power-of-two node counts up to 64k, network-major.
     assert len(specs) == 8
     params = [s.params_dict for s in specs]
     assert [p["n_nodes"] for p in params] == [2048, 8192, 16384, 65536] * 2
     assert {p["network"] for p in params} == {"qsnet", "bluegene_l_torus"}
     assert all(p["message_kib"] == 4 for p in params)
-    # The memory/GC trend columns ride on the row itself.
-    assert "peak_rss_mib" in FAMILIES["scaling64k"].trend_columns
-    assert "gc_collections" in FAMILIES["scaling64k"].trend_columns
-    # smoke keeps only the 4096-node pair for CI.
-    smoke = expand_family("scaling64k", "smoke")
-    assert [p.params_dict["n_nodes"] for p in smoke] == [4096, 4096]
-    assert all(p.params_dict["iterations"] == 12 for p in smoke)
+    # Every sweep runs the one scaling point, so one row shape and one
+    # set of trend columns serve all three.
+    assert {s.family for s in specs} == {"scaling"}
 
 
 @pytest.mark.parametrize("name", sorted(EXTENSION_COUNTS))
@@ -123,10 +150,14 @@ def test_paper_expansion_counts(name):
     assert [s.index for s in specs] == list(range(len(specs)))
 
 
-@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("name", sorted(FAMILIES) + sorted(LEGACY_SCALING_SWEEPS))
 @pytest.mark.parametrize("preset", ["paper", "smoke"])
 def test_params_are_json_safe(name, preset):
-    for spec in expand_family(name, preset):
+    if name in LEGACY_SCALING_SWEEPS:
+        specs = _legacy_sweep(name, preset)
+    else:
+        specs = expand_family(name, preset)
+    for spec in specs:
         decoded = json.loads(json.dumps(spec.params_dict))
         assert decoded == spec.params_dict
 
