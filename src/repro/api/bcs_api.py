@@ -188,16 +188,19 @@ class BcsApi:
             return False
         nrt = handle.nrt
         self._observe_br(nrt.node_id, "cancel_recv")
-        for queue in (nrt.posted_recvs, nrt.matcher.posted):
-            for desc in queue:
-                if desc.request is req:
-                    queue.remove(desc)
-                    req.error = None
-                    req.payload = None
-                    req._finish()
-                    self.runtime.stats["recvs_cancelled"] += 1
-                    return True
-        return False
+        desc = next((d for d in nrt.posted_recvs if d.request is req), None)
+        if desc is not None:
+            nrt.posted_recvs.remove(desc)
+        else:
+            desc = next((d for d in nrt.matcher.posted if d.request is req), None)
+            if desc is None:
+                return False
+            nrt.matcher.withdraw(desc)
+        req.error = None
+        req.payload = None
+        req._finish()
+        self.runtime.stats["recvs_cancelled"] += 1
+        return True
 
     def bcs_testall(self, reqs: Sequence[BcsRequest]) -> bool:
         """Non-blocking completion check for a set of requests."""

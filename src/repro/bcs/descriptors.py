@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from ..sim import Event
+from ..sim.errors import EventAlreadyTriggered
 
 #: Wildcards for receive matching (MPI_ANY_SOURCE / MPI_ANY_TAG).
 ANY_SOURCE = -1
@@ -26,15 +27,19 @@ _desc_ids = itertools.count()
 class BcsRequest:
     """Completion handle for one posted operation (paper's BCS_Request).
 
-    The NIC signals completion by triggering :attr:`done`; processes poll
-    it (``bcs_test``) or block on it (``bcs_test(blocking)``), in which
-    case the Node Manager restarts them at the next slice boundary.
+    The NIC signals completion by stamping :attr:`completed_at`, which is
+    all a poll (``bcs_test``) reads.  A process that blocks on requests
+    (``bcs_test(blocking)``) hangs one :class:`RequestWait` on them; the
+    last completion fires it and the Node Manager restarts the process
+    at the next slice boundary.  No engine event exists per request:
+    :attr:`done` is built only when a caller asks for it.
     """
 
     __slots__ = (
         "env",
         "kind",
-        "done",
+        "_done",
+        "waiter",
         "payload",
         "source",
         "tag",
@@ -47,7 +52,9 @@ class BcsRequest:
     def __init__(self, env, kind: str):
         self.env = env
         self.kind = kind
-        self.done: Event = env.event(name=f"req:{kind}")
+        self._done: Optional[Event] = None
+        #: The wait record of the call blocked on this request, if any.
+        self.waiter: Optional[RequestWait] = None
         #: Delivered payload (receives and value-returning collectives).
         self.payload: Any = None
         #: Matched source rank (receives).
@@ -63,15 +70,82 @@ class BcsRequest:
     @property
     def complete(self) -> bool:
         """Whether the operation has finished (NIC-visible state)."""
-        return self.done.triggered
+        return self.completed_at is not None
+
+    @property
+    def done(self) -> Event:
+        """A completion event for waiters outside the Node Manager.
+
+        Built on first access.  Built after completion, it is already
+        processed (yielding it resumes at once, like any past event);
+        built before, :meth:`_finish` triggers it.
+        """
+        ev = self._done
+        if ev is None:
+            ev = self._done = Event(self.env, name=f"req:{self.kind}")
+            if self.completed_at is not None:
+                ev._value = self
+                ev.callbacks = None
+        return ev
 
     def _finish(self) -> None:
+        if self.completed_at is not None:
+            raise EventAlreadyTriggered(repr(self))
         self.completed_at = self.env.now
-        self.done.succeed(self)
+        if self._done is not None:
+            self._done.succeed(self)
+        waiter = self.waiter
+        if waiter is not None:
+            self.waiter = None
+            waiter._count_down()
 
     def __repr__(self) -> str:
         state = "done" if self.complete else "pending"
         return f"<BcsRequest {self.kind} {state}>"
+
+
+class RequestWait(Event):
+    """One blocked call's wait on its pending requests.
+
+    Fires when the last of them completes, with the same event hops the
+    per-request events took: a single request fires the wait from its
+    own completion (as ``yield req.done`` did); several fire it through
+    one relay event scheduled by the last completion (as an ``AllOf``
+    over their ``done`` events did).  So every other event keeps its
+    place in the engine order.
+    """
+
+    __slots__ = ("requests", "remaining")
+
+    def __init__(self, env, requests: Sequence[BcsRequest]):
+        super().__init__(env, name="req:" + ",".join([r.kind for r in requests]))
+        self.requests = requests
+        remaining = 0
+        for r in requests:
+            if r.waiter is not self:  # a request listed twice counts once
+                if r.waiter is not None:
+                    raise RuntimeError(f"{r!r} already has a blocked waiter")
+                r.waiter = self
+                remaining += 1
+        #: Requests still pending; 0 once the wait (or its relay) is queued.
+        self.remaining = remaining
+
+    def _count_down(self) -> None:
+        self.remaining -= 1
+        if self.remaining:
+            return
+        if len(self.requests) == 1:
+            self.succeed(None)
+        else:
+            relay = Event(self.env, name="relay")
+            relay.callbacks.append(self.trigger)
+            relay.succeed(None)
+
+    def cancel(self) -> None:
+        """Detach from the requests (the blocked process was interrupted)."""
+        for r in self.requests:
+            if r.waiter is self:
+                r.waiter = None
 
 
 def payload_nbytes(payload: Any, declared: Optional[int] = None) -> int:
@@ -261,8 +335,9 @@ class DescriptorPools:
     - ``release`` is only called from sites where the runtime can prove
       no live reference remains (retired matches, completed collective
       epochs, provably-private barrier requests);
-    - a recycled ``BcsRequest`` gets a **fresh** :class:`Event` — done
-      events are one-shot and are never re-armed.
+    - a recycled ``BcsRequest`` comes back pending, with no waiter and
+      no ``done`` event; a ``done`` event, once built, belongs to the
+      cycle it was built in and is never re-armed.
 
     Pools are best-effort and bounded; an empty pool simply constructs.
     """
@@ -351,7 +426,8 @@ class DescriptorPools:
             return BcsRequest(env, kind)
         r.env = env
         r.kind = kind
-        r.done = env.event(name=f"req:{kind}")
+        r._done = None
+        r.waiter = None
         r.payload = None
         r.source = None
         r.tag = None

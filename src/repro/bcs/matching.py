@@ -44,7 +44,11 @@ family matching its own wildcard shape, whose bucket holds — in arrival
 order — precisely the sends its pattern matches.  Sends removed through
 one family leave stale entries in the other three; entries are validated
 lazily against the authoritative insertion-ordered dict (``_usends``)
-and dropped when dead.
+and dropped when dead.  An entry is live only if it *is* the dict's
+entry for its descriptor id: descriptor objects are recycled under a
+fresh id, so a stale entry may point at an object that is queued again.
+Stale entries that no probe reaches are bounded by rebuilding the index
+once they outnumber the live ones.
 """
 
 from __future__ import annotations
@@ -60,6 +64,11 @@ from .descriptors import ANY_SOURCE, ANY_TAG, Match, RecvDescriptor, SendDescrip
 #: Below this many descriptors a batch takes the sequential object path —
 #: the SoA column setup costs more than the vectorized join saves.
 BATCH_MIN = 8
+
+#: Dead index entries a hash matcher tolerates regardless of its live
+#: count before it rebuilds its index (keeps rebuilds of a nearly empty
+#: matcher rare).
+REINDEX_MIN_DEAD = 64
 
 
 class TruncationError(SimError):
@@ -194,6 +203,15 @@ class LinearMatcher(_MatcherBase):
         self.totals.posted += 1
         return None
 
+    def withdraw(self, recv: RecvDescriptor) -> bool:
+        """Remove a posted receive (MPI_Cancel); False if it is not queued."""
+        try:
+            self.posted.remove(recv)
+        except ValueError:
+            return False
+        self.totals.posted -= 1
+        return True
+
     def purge_job(self, job_id: int) -> None:
         """Drop every descriptor belonging to ``job_id``."""
         kept_u = [d for d in self.unexpected if d.job_id != job_id]
@@ -230,6 +248,7 @@ class HashMatcher(_MatcherBase):
         "_u_any",
         "_p_buckets",
         "_wild_posted",
+        "_dead",
     )
 
     def __init__(self, node_id: int, totals: Optional[MatcherTotals] = None):
@@ -253,6 +272,8 @@ class HashMatcher(_MatcherBase):
         self._u_any: Dict[tuple, Deque[Tuple[int, SendDescriptor]]] = {}
         #: Posted receives bucketed by their own (wildcard-literal) pattern.
         self._p_buckets: Dict[tuple, Deque[Tuple[int, RecvDescriptor]]] = {}
+        #: Index entries whose descriptor has left the authoritative queues.
+        self._dead = 0
 
     # -- queue feeds -----------------------------------------------------------
 
@@ -275,8 +296,9 @@ class HashMatcher(_MatcherBase):
             if not bucket:
                 continue
             # Lazily drop heads whose receive was consumed via another path.
-            while bucket and bucket[0][1].desc_id not in precvs:
+            while bucket and precvs.get(bucket[0][1].desc_id) is not bucket[0]:
                 bucket.popleft()
+                self._dead -= 1
             if not bucket:
                 del buckets[key]
                 continue
@@ -321,21 +343,27 @@ class HashMatcher(_MatcherBase):
         if bucket:
             usends = self._usends
             while bucket:
-                _, send = bucket.popleft()
-                if send.desc_id in usends:
+                entry = bucket.popleft()
+                send = entry[1]
+                if usends.get(send.desc_id) is entry:
                     if not bucket:
                         del family[key]
                     del usends[send.desc_id]
                     self.totals.unexpected -= 1
+                    # Its entries in the other three families are dead.
+                    self._dead += 3
+                    self._maybe_reindex()
                     return self._pair(send, recv, "recv")
+                self._dead -= 1
             del family[key]
 
         self._seq += 1
         self.totals.posted += 1
         if s == ANY_SOURCE or t == ANY_TAG:
             self._wild_posted += 1
-        self._precvs[recv.desc_id] = (self._seq, recv)
-        _append(self._p_buckets, (j, c, r, s, t), (self._seq, recv))
+        entry = (self._seq, recv)
+        self._precvs[recv.desc_id] = entry
+        _append(self._p_buckets, (j, c, r, s, t), entry)
         return None
 
     # -- batch feeds -----------------------------------------------------------
@@ -394,10 +422,12 @@ class HashMatcher(_MatcherBase):
             key = (s0.job_id, s0.comm_id, s0.dst_rank, s0.src_rank, s0.tag)
             bucket = buckets.get(key)
             if bucket is not None:
-                if any(e[1].desc_id not in precvs for e in bucket):
-                    bucket = deque(
-                        e for e in bucket if e[1].desc_id in precvs
+                if any(precvs.get(e[1].desc_id) is not e for e in bucket):
+                    live = deque(
+                        e for e in bucket if precvs.get(e[1].desc_id) is e
                     )
+                    self._dead -= len(bucket) - len(live)
+                    bucket = live
                     if bucket:
                         buckets[key] = bucket
                     else:
@@ -506,10 +536,12 @@ class HashMatcher(_MatcherBase):
             key = (r0.job_id, r0.comm_id, r0.rank, r0.src_rank, r0.tag)
             bucket = family.get(key)
             if bucket is not None:
-                if any(e[1].desc_id not in usends for e in bucket):
-                    bucket = deque(
-                        e for e in bucket if e[1].desc_id in usends
+                if any(usends.get(e[1].desc_id) is not e for e in bucket):
+                    live = deque(
+                        e for e in bucket if usends.get(e[1].desc_id) is e
                     )
+                    self._dead -= len(bucket) - len(live)
+                    bucket = live
                     if bucket:
                         family[key] = bucket
                     else:
@@ -534,6 +566,7 @@ class HashMatcher(_MatcherBase):
                     del family[key]
                 del usends[send.desc_id]
                 totals.unexpected -= 1
+                self._dead += 3
                 out.append((i, self._pair(send, recv, "recv")))
             else:
                 self._seq += 1
@@ -545,8 +578,22 @@ class HashMatcher(_MatcherBase):
                     (recv.job_id, recv.comm_id, recv.rank, recv.src_rank, recv.tag),
                     entry,
                 )
+        self._maybe_reindex()
 
     # -- maintenance -----------------------------------------------------------
+
+    def withdraw(self, recv: RecvDescriptor) -> bool:
+        """Remove a posted receive (MPI_Cancel); False if it is not queued.
+
+        Its bucket entry is left behind dead and dropped lazily.
+        """
+        if self._precvs.pop(recv.desc_id, None) is None:
+            return False
+        self.totals.posted -= 1
+        if recv.src_rank == ANY_SOURCE or recv.tag == ANY_TAG:
+            self._wild_posted -= 1
+        self._dead += 1
+        return True
 
     def purge_job(self, job_id: int) -> None:
         """Drop every descriptor belonging to ``job_id``.
@@ -563,6 +610,24 @@ class HashMatcher(_MatcherBase):
         }
         self.totals.unexpected -= before_u - len(self._usends)
         self.totals.posted -= before_p - len(self._precvs)
+        self._reindex()
+
+    def _maybe_reindex(self) -> None:
+        """Rebuild the index once dead entries outnumber live ones.
+
+        Each rebuild costs O(live) and follows more than that many
+        deaths, so the upkeep is amortized O(1) per entry.
+        """
+        dead = self._dead
+        if dead > REINDEX_MIN_DEAD and dead > 4 * len(self._usends) + len(self._precvs):
+            self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild every index bucket from the authoritative queues.
+
+        Iterating the insertion-ordered queues keeps each bucket in seq
+        order, and the entries themselves (with their seqs) are reused.
+        """
         self._u_exact = {}
         self._u_src = {}
         self._u_tag = {}
@@ -582,6 +647,7 @@ class HashMatcher(_MatcherBase):
             _append(self._p_buckets, key, entry)
             if recv.src_rank == ANY_SOURCE or recv.tag == ANY_TAG:
                 self._wild_posted += 1
+        self._dead = 0
 
     # -- views -----------------------------------------------------------------
 

@@ -24,10 +24,9 @@ from typing import TYPE_CHECKING, Iterable, List, Sequence
 
 import numpy as np
 
-from ..sim import AllOf
+from .descriptors import BcsRequest, RequestWait
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .descriptors import BcsRequest
     from .threads import NodeRuntime
 
 
@@ -124,14 +123,12 @@ class NodeManager:
 
         If everything is already complete the process continues
         immediately (this is what makes completed non-blocking
-        communication free, §3.2)."""
-        pending = [r.done for r in requests if not r.complete]
+        communication free, §3.2).  Otherwise one :class:`RequestWait`
+        covers the pending requests."""
+        pending = [r for r in requests if r.completed_at is None]
         if not pending:
             return
-        if len(pending) == 1:
-            yield pending[0]
-        else:
-            yield AllOf(self.env, pending)
+        yield RequestWait(self.env, pending)
         # NM restarts us at the next slice start.
         yield self.nrt.slice_start.wait()
 

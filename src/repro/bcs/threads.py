@@ -29,12 +29,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from ..sim import AllOf, Event, Signal
+from ..sim import Signal
 from .config import BcsConfig
 from .descriptors import (
     CollectiveDescriptor,
     Match,
     RecvDescriptor,
+    RequestWait,
     SendDescriptor,
     payload_nbytes,
 )
@@ -675,10 +676,12 @@ def solve_transmission(runtime: "BcsRuntime", granted: Grants) -> Optional[Phase
 
 
 def _awaits_request(ev) -> bool:
-    """Is ``ev`` a wait on an incomplete BCS request (``NodeManager.block_on``)?"""
-    if type(ev) is AllOf:
-        return any(_awaits_request(e) for e in ev.events)
-    return type(ev) is Event and not ev.triggered and ev.name.startswith("req:")
+    """Is ``ev`` a wait on an incomplete BCS request (``NodeManager.block_on``)?
+
+    A wait whose last request has completed while its relay is still
+    queued is not waiting any more.
+    """
+    return type(ev) is RequestWait and ev.remaining > 0
 
 
 def _host_only(runtime: "BcsRuntime", end: int) -> Optional[str]:

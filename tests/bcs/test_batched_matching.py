@@ -33,9 +33,12 @@ from repro.bcs.descriptors import (
 )
 from repro.bcs.matching import BATCH_MIN
 from repro.bcs.threads import NodeRuntime
+from repro.bcs.runtime import BcsRuntime
 from repro.harness.runner import run_workload
+from repro.network import Cluster, ClusterSpec
 from repro.sim import Engine
-from repro.units import ms
+from repro.storm import JobSpec
+from repro.units import ms, seconds
 
 
 class _Req:
@@ -247,6 +250,46 @@ def test_virtual_time_identity_batched_vs_object_path(app):
         r = run_workload(app, 8, "bcs", bcs_config=cfg)
         results[reference] = (r.runtime_ns, r.stats.get("slices"))
     assert results[False] == results[True]
+
+
+def _recycled_send_app(ctx, seen):
+    """Rank 2 on node 1 sends to rank 0, then to rank 1; rank 0 posts a
+    wildcard receive between the two.  The first send's descriptor
+    object is recycled for the second."""
+    comm = ctx.comm
+    if comm.rank == 2:
+        yield from comm.send(b"for-0", dest=0, tag=5)
+        yield from ctx.compute(ms(3))
+        yield from comm.waitall([comm.isend(b"for-1", dest=1, tag=7)])
+    elif comm.rank == 0:
+        yield from ctx.compute(ms(2))
+        seen[0] = yield from comm.recv(source=2, tag=5)
+        yield from ctx.compute(ms(3))
+        wild = comm.irecv(ANY_SOURCE, ANY_TAG)
+        yield from ctx.compute(ms(2))
+        seen["wild"] = (wild.complete, wild.payload)
+    else:
+        yield from ctx.compute(ms(9))
+        seen[1] = yield from comm.recv(source=2, tag=7)
+    return ctx.now
+
+
+def test_wildcard_receive_cannot_take_a_recycled_send():
+    outcomes = {}
+    for reference in (False, True):
+        seen = {}
+        runtime = BcsRuntime(
+            Cluster(ClusterSpec(n_nodes=2)),
+            BcsConfig(init_cost=0, reference=reference),
+        )
+        job = runtime.run_job(
+            JobSpec(app=_recycled_send_app, n_ranks=3, params=dict(seen=seen)),
+            placement=[0, 0, 1],
+            max_time=seconds(1),
+        )
+        outcomes[reference] = (seen, job.results, runtime.env.now)
+    assert outcomes[False] == outcomes[True]
+    assert outcomes[False][0] == {0: b"for-0", "wild": (False, None), 1: b"for-1"}
 
 
 # -- descriptor pools ----------------------------------------------------------
